@@ -9,9 +9,9 @@ spectrum     per-mode energy ladder with one column per correction term
 sense        signal-to-phase conversion table for the configured inputs
 timing       fringe degradation against the configured timing offsets
 
-Common flags: `--config PATH` (omit for the built-in reference scenario),
-`--out DIR` for the CSV outputs, `--threads N` to parallelize sweeps,
-`--snapshots K` to store K density profiles from the revival run.  Outputs
+Common flags: `--config PATH` (omit for the built-in reference scenario)
+and `--out DIR` for the CSV outputs; `revival` also takes `--snapshots K`
+to store K density profiles from the run.  Outputs
 are plain CSV with a `#`-prefixed header carrying the config hash, the
 resolved configuration, and the dimensionless trap parameters, so a file is
 reproducible from its own header.  Runs are deterministic: identical
@@ -88,6 +88,8 @@ def _write_csv(path, header_lines, columns, rows) -> None:
 
 
 def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:
+    if args.snapshots < 0:
+        raise ConfigError("--snapshots must be >= 0")
     spec = build_protocol(config, n_snapshots=args.snapshots)
     result = run_protocol(spec)
     ideal = revival_time(spec.trap)
@@ -121,16 +123,20 @@ def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:
 
 
 def _variant_spec(base: ProtocolSpec, name: str) -> ProtocolSpec:
-    """Sweep variants: full config, coupling zeroed, or textbook-ideal."""
+    """Sweep variants: full config, coupling zeroed, or textbook-ideal.
+
+    Without the coupling the exact linear solver applies, unless the imprint
+    is a finite pulse, which only the split-step solver can drive.
+    """
     if name == "interacting":
         return base
-    linear = replace(
-        base, solver="linear",
+    free = replace(
+        base, solver="linear" if base.imprint.duration == 0 else "splitstep",
         interaction=replace(base.interaction, scattering_length=0.0))
     if name == "noninteracting":
-        return linear
-    return replace(linear, flux=None,
-                   imprint=replace(linear.imprint, profile="uniform"),
+        return free
+    return replace(free, flux=None,
+                   imprint=replace(free.imprint, profile="uniform"),
                    include_tilt=False, include_centrifugal=False,
                    include_ellipticity=False)
 
@@ -141,7 +147,7 @@ def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
     written = []
     for name in config.sweep_variants:
         spec = _variant_spec(base, name)
-        rows = sweep_phase(spec, phases, threads=args.threads)
+        rows = sweep_phase(spec, phases)
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
         header = _header_lines(config, "sweep-phase", [("variant", name)])
         path = os.path.join(out_dir, "sweep_phase_%s.csv" % name)
@@ -251,7 +257,7 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
 def _cmd_timing(config: ScenarioConfig, args, out_dir: str) -> int:
     spec = build_protocol(config)
     offsets = [u * 1e-6 for u in config.timing_offsets_us]
-    rows = timing_sensitivity(spec, offsets, threads=args.threads)
+    rows = timing_sensitivity(spec, offsets)
     header = _header_lines(config, "timing")
     path = os.path.join(out_dir, "timing.csv")
     _write_csv(path, header, ["offset_s", "fidelity", "imbalance"], rows)
@@ -289,10 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "reference scenario)")
         sub.add_argument("--out", metavar="DIR", default=".",
                          help="directory for CSV outputs (default: .)")
-        sub.add_argument("--threads", metavar="N", type=int, default=1,
-                         help="worker threads for sweeps (default: 1)")
-        sub.add_argument("--snapshots", metavar="K", type=int, default=0,
-                         help="density snapshots to store (revival only)")
+        if name == "revival":
+            sub.add_argument("--snapshots", metavar="K", type=int,
+                             default=0, help="density snapshots to store")
         sub.set_defaults(func=func)
     return parser
 
@@ -300,10 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        if args.snapshots < 0:
-            raise ConfigError("--snapshots must be >= 0")
         config = from_file(args.config) if args.config else from_defaults()
         os.makedirs(args.out, exist_ok=True)
         return args.func(config, args, args.out)

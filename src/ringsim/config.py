@@ -27,7 +27,7 @@ from .constants import ATOMIC_MASS_UNIT, BOHR_RADIUS, HBAR, K39_MASS_U
 from .errors import ConfigError, InvalidParameterError
 from .observables import WEIGHT_KINDS
 from .propagator import FluxSpec, InteractionSpec
-from .protocol import IMPRINT_PROFILES, SOLVERS, ImprintSpec, ProtocolSpec
+from .protocol import SOLVERS, ImprintSpec, ProtocolSpec
 from .spectrum import TrapSpec
 
 SWEEP_VARIANTS = ("ideal", "noninteracting", "interacting")
@@ -98,9 +98,9 @@ class ScenarioConfig:
                 "set exactly one of omega_perp_krad_s or omega_perp_khz")
         if self.solver not in SOLVERS:
             raise ConfigError("solver must be one of %s" % (SOLVERS,))
-        if self.imprint_profile not in IMPRINT_PROFILES:
+        if self.imprint_profile not in WEIGHT_KINDS:
             raise ConfigError(
-                "imprint_profile must be one of %s" % (IMPRINT_PROFILES,))
+                "imprint_profile must be one of %s" % (WEIGHT_KINDS,))
         if self.readout_weight not in WEIGHT_KINDS:
             raise ConfigError(
                 "readout_weight must be one of %s" % (WEIGHT_KINDS,))

@@ -73,6 +73,22 @@ def _window_mask(angles: np.ndarray, window) -> np.ndarray:
     return (rel > 0.0) & (rel < span)
 
 
+def _window_profile(angles, window, kind: str):
+    """(mask, profile) of the open `window` sampled at `angles`.
+
+    The profile is zero outside the window; inside it is 1 for "uniform"
+    and cos^2(alpha - window center) for "cosine_squared", which vanishes
+    smoothly at the edges of a half-ring window.
+    """
+    angles = np.asarray(angles, dtype=float)
+    mask = _window_mask(angles, window)
+    if kind == "uniform":
+        return mask, mask.astype(float)
+    lo, hi = window
+    center = lo + 0.5 * ((hi - lo) % TWO_PI)
+    return mask, np.where(mask, np.cos(angles - center) ** 2, 0.0)
+
+
 def _windows_disjoint(first, second) -> bool:
     lo1, hi1 = first
     lo2, hi2 = second
@@ -125,13 +141,7 @@ def population_imbalance(state, *, weight: str = "cosine_squared",
     angles = grid.angles
     totals = []
     for window in (right_window, left_window):
-        mask = _window_mask(angles, window)
-        if weight == "cosine_squared":
-            lo, hi = window
-            center = lo + 0.5 * ((hi - lo) % TWO_PI)
-            w = np.cos(angles - center) ** 2
-        else:
-            w = np.ones_like(angles)
+        mask, w = _window_profile(angles, window, weight)
         totals.append(float(np.sum(density[mask] * w[mask])))
     n_right, n_left = totals
     total = n_right + n_left

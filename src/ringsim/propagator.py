@@ -148,15 +148,15 @@ class _SplitStepEngine:
     """
 
     def __init__(self, model: DispersionModel, grid_n: int,
-                 coupling_internal: float = 0.0,
-                 flux_rate_internal: float = 0.0):
+                 interaction: InteractionSpec | None = None,
+                 flux: FluxSpec | None = None):
         if grid_n < 4 or grid_n & (grid_n - 1):
             raise InvalidParameterError("grid_n must be a power of two >= 4")
-        self.model = model
         self.grid_n = grid_n
-        self.coupling = float(coupling_internal)
-        # flux_rate may be reassigned between steps (e.g. a delayed turn-on)
-        self.flux_rate = float(flux_rate_internal)
+        self.coupling = (interaction.coupling_internal(model.trap)
+                         if interaction is not None else 0.0)
+        self.flux_rate = (flux.angle_per_revival() / TWO_PI
+                          if flux is not None else 0.0)
         self.angles = TWO_PI * np.arange(grid_n) / grid_n
         # integer harmonics of the grid in FFT order
         self.harmonics = np.rint(np.fft.fftfreq(grid_n) * grid_n).astype(int)
@@ -164,10 +164,11 @@ class _SplitStepEngine:
         self._kin_key = None
         self._kin_phase = None
 
-    def kinetic_phase(self, dt: float) -> np.ndarray:
-        key = (dt, self.flux_rate)
+    def kinetic_phase(self, dt: float, flux_on: bool = True) -> np.ndarray:
+        rate = self.flux_rate if flux_on else 0.0
+        key = (dt, rate)
         if key != self._kin_key:
-            w = self.energies + self.flux_rate * self.harmonics
+            w = self.energies + rate * self.harmonics
             self._kin_key = key
             self._kin_phase = np.exp(-1j * w * dt)
         return self._kin_phase
@@ -178,12 +179,13 @@ class _SplitStepEngine:
             local = local + potential
         return local
 
-    def step(self, values: np.ndarray, dt: float,
-             potential=None) -> np.ndarray:
+    def step(self, values: np.ndarray, dt: float, potential=None,
+             flux_on: bool = True) -> np.ndarray:
         """One Strang step of size dt (internal units) in place of real time.
 
         `potential` is the dimensionless angular potential sampled on the
-        grid (or None).  Raises StepSizeError when the local phase advance
+        grid (or None); `flux_on` False drops the flux term, as before a
+        delayed turn-on.  Raises StepSizeError when the local phase advance
         |V + g n| dt of this step exceeds the trust limit.
         """
         local = self._local_term(values, potential)
@@ -194,10 +196,26 @@ class _SplitStepEngine:
                 "reduce the step size" % (peak, LOCAL_PHASE_LIMIT))
         half = np.exp(-0.5j * dt * local)
         values = values * half
-        values = np.fft.ifft(self.kinetic_phase(dt) * np.fft.fft(values))
+        values = np.fft.ifft(self.kinetic_phase(dt, flux_on) *
+                             np.fft.fft(values))
         # recompute the density for the second half step
         local = self._local_term(values, potential)
         values = values * np.exp(-0.5j * dt * local)
+        return values
+
+    def propagate(self, values: np.ndarray, duration: float, dt: float,
+                  potential=None, flux_on: bool = True) -> np.ndarray:
+        """Step across `duration` (internal units) in equal Strang steps.
+
+        The step count is round(duration / dt), at least one, so the steps
+        tile the interval exactly; a non-positive duration is a no-op.
+        """
+        if duration <= 0:
+            return values
+        n = max(1, int(round(duration / dt)))
+        h = duration / n
+        for _ in range(n):
+            values = self.step(values, h, potential, flux_on)
         return values
 
     def imaginary_step(self, values: np.ndarray, dtau: float,
@@ -237,11 +255,7 @@ def step_nonlinear(state: GridState, dt: float, model: DispersionModel,
     is treated as always on (no turn_on bookkeeping at single-step level).
     """
     units = model.units
-    g_int = interaction.coupling_internal(model.trap) if interaction else 0.0
-    flux_rate = 0.0
-    if flux is not None:
-        flux_rate = flux.angle_per_revival() / TWO_PI
-    engine = _SplitStepEngine(model, state.size, g_int, flux_rate)
+    engine = _SplitStepEngine(model, state.size, interaction, flux)
     pot_int = None
     if potential is not None:
         pot_int = np.asarray(potential, dtype=float) / units.energy_unit
@@ -289,9 +303,8 @@ def ground_state_imaginary_time(trap: TrapSpec,
         dtau = 1e-3 / wf_int
     if dtau <= 0:
         raise InvalidParameterError("dtau must be positive")
-    model = ideal_model_cached(trap)
-    g_int = interaction.coupling_internal(trap) if interaction else 0.0
-    engine = _SplitStepEngine(model, grid_n, g_int)
+    engine = _SplitStepEngine(DispersionModel(trap=trap, cutoff=1), grid_n,
+                              interaction)
     pot = 0.5 * wf_int ** 2 * _wrapped_angle(engine.angles, well_center) ** 2
 
     if initial is None:
@@ -321,15 +334,3 @@ def ground_state_imaginary_time(trap: TrapSpec,
         "(last per-step energy drift %.3g)" % (max_steps,
                                                abs(e_now - e_prev) / todo))
 
-
-_MODEL_CACHE: dict = {}
-
-
-def ideal_model_cached(trap: TrapSpec, cutoff: int = 1) -> DispersionModel:
-    """Small cache so repeated engine builds reuse one ideal model."""
-    key = (trap, cutoff)
-    if key not in _MODEL_CACHE:
-        if len(_MODEL_CACHE) > 64:
-            _MODEL_CACHE.clear()
-        _MODEL_CACHE[key] = DispersionModel(trap=trap, cutoff=cutoff)
-    return _MODEL_CACHE[key]

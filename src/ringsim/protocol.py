@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -37,8 +36,8 @@ import numpy as np
 from .errors import (CentroidUndefinedError, ConfigError,
                      IndeterminateImbalanceError, InvalidParameterError,
                      RevivalNotFoundError)
-from .observables import (WEIGHT_KINDS, circular_centroid, density_profile,
-                          fidelity, population_imbalance)
+from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
+                          density_profile, fidelity, population_imbalance)
 from .propagator import (TWO_PI, FluxSpec, InteractionSpec, _SplitStepEngine,
                          evolve_linear, ground_state_imaginary_time)
 from .spectrum import TrapSpec, corrected_dispersion, revival_time
@@ -46,8 +45,6 @@ from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
 
 SOLVERS = ("linear", "splitstep")
-
-IMPRINT_PROFILES = ("cosine_squared", "uniform")
 
 # A coarse-scan fidelity below this means the window holds no revival.
 SEARCH_FIDELITY_FLOOR = 0.1
@@ -102,9 +99,9 @@ class ImprintSpec:
     def __post_init__(self) -> None:
         if not np.isfinite(self.phase):
             raise InvalidParameterError("imprint phase must be finite")
-        if self.profile not in IMPRINT_PROFILES:
+        if self.profile not in WEIGHT_KINDS:
             raise InvalidParameterError(
-                "profile must be one of %s" % (IMPRINT_PROFILES,))
+                "profile must be one of %s" % (WEIGHT_KINDS,))
         lo, hi = self.window
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InvalidParameterError("window edges must be finite")
@@ -119,14 +116,7 @@ class ImprintSpec:
 
     def profile_values(self, angles: np.ndarray) -> np.ndarray:
         """Imprint profile sampled at `angles` (dimensionless, peak 1)."""
-        lo, hi = self.window
-        span = (hi - lo) % TWO_PI
-        rel = (np.asarray(angles, dtype=float) - lo) % TWO_PI
-        mask = (rel > 0.0) & (rel < span)
-        if self.profile == "uniform":
-            return mask.astype(float)
-        center = lo + 0.5 * span
-        return np.where(mask, np.cos(angles - center) ** 2, 0.0)
+        return _window_profile(angles, self.window, self.profile)[1]
 
 
 @dataclass(frozen=True)
@@ -235,8 +225,10 @@ class ProtocolSpec:
 
     def dispersion_model(self):
         """Dispersion with this run's correction terms switched in."""
-        return _model_for(self.trap, self.cutoff, self.include_tilt,
-                          self.include_centrifugal, self.include_ellipticity)
+        return corrected_dispersion(self.trap, self.cutoff,
+                                    tilt=self.include_tilt,
+                                    centrifugal=self.include_centrifugal,
+                                    ellipticity=self.include_ellipticity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,14 +256,6 @@ class ProtocolResult:
     records: np.ndarray
     snapshot_times: tuple = ()
     snapshots: tuple = ()
-
-
-@lru_cache(maxsize=16)
-def _model_for(trap: TrapSpec, cutoff: int, tilt: bool, centrifugal: bool,
-               ellipticity: bool):
-    return corrected_dispersion(trap, cutoff, tilt=tilt,
-                                centrifugal=centrifugal,
-                                ellipticity=ellipticity)
 
 
 @lru_cache(maxsize=8)
@@ -310,61 +294,41 @@ def _flux_angle(spec: ProtocolSpec, t: float) -> float:
 # revival search
 
 
-class _NonlinearTrajectory:
-    """Checkpointed split-step trajectory for repeated fidelity queries.
+def _splitstep_objective(spec: ProtocolSpec):
+    """Checkpointed split-step fidelity for repeated revival queries.
 
     Every queried time becomes a checkpoint, so a golden-section search that
     keeps narrowing its bracket only ever propagates the short gap from the
-    nearest earlier checkpoint instead of restarting from release.
+    nearest earlier checkpoint instead of restarting from release.  A gap
+    that spans the flux turn-on is cut there, so the flux acts from exactly
+    its onset.
     """
+    psi0_s, psi0_g = _prepare(spec)
+    driver = _SplitStepDriver(spec, psi0_g)
+    to_internal = driver.units.time_to_internal
+    turn_on = math.inf
+    if spec.flux is not None:
+        turn_on = to_internal(spec.flux.turn_on)
+    times, states = [0.0], [driver.values]
 
-    def __init__(self, spec: ProtocolSpec):
-        self.spec = spec
-        self.model = spec.dispersion_model()
-        self.units = self.model.units
-        psi0_s, psi0_g = _prepare(spec)
-        self.psi0_s = psi0_s
-        g_int = 0.0
-        if spec.interaction is not None:
-            g_int = spec.interaction.coupling_internal(spec.trap)
-        self.engine = _SplitStepEngine(self.model, spec.grid_n, g_int)
-        self.dt_int = spec.dt_factor * TWO_PI
-        self.flux_rate = 0.0
-        self.turn_on_int = math.inf
-        if spec.flux is not None:
-            self.flux_rate = spec.flux.angle_per_revival() / TWO_PI
-            self.turn_on_int = self.units.time_to_internal(spec.flux.turn_on)
-        self.times = [0.0]
-        self.values = [psi0_g.values.copy()]
+    def objective(t: float) -> float:
+        t_int = to_internal(t)
+        i = bisect_right(times, t_int) - 1
+        vals = states[i]
+        if t_int > times[i]:
+            cuts = [times[i], t_int]
+            if cuts[0] < turn_on < t_int:
+                cuts.insert(1, turn_on)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                vals = driver.engine.propagate(vals, b - a, driver.dt_int,
+                                               flux_on=a >= turn_on)
+            times.insert(i + 1, t_int)
+            states.insert(i + 1, vals)
+        driver.values = vals
+        return driver.overlap_fidelity(
+            rotate(psi0_s, np.pi + _flux_angle(spec, t)))
 
-    def _advance(self, vals: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        cuts = [t0, t1]
-        if t0 < self.turn_on_int < t1:
-            cuts.insert(1, self.turn_on_int)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            self.engine.flux_rate = (
-                self.flux_rate if a >= self.turn_on_int else 0.0)
-            n = max(1, int(round((b - a) / self.dt_int)))
-            h = (b - a) / n
-            for _ in range(n):
-                vals = self.engine.step(vals, h)
-        return vals
-
-    def state_at(self, t_int: float) -> np.ndarray:
-        i = bisect_right(self.times, t_int) - 1
-        t0, vals = self.times[i], self.values[i]
-        if t_int > t0:
-            vals = self._advance(vals.copy(), t0, t_int)
-            self.times.insert(i + 1, t_int)
-            self.values.insert(i + 1, vals)
-        return vals
-
-    def fidelity_at(self, t: float) -> float:
-        vals = self.state_at(self.units.time_to_internal(t))
-        target = rotate(self.psi0_s, np.pi + _flux_angle(self.spec, t))
-        tvals = to_grid(target, self.spec.grid_n).values
-        overlap = TWO_PI / self.spec.grid_n * np.vdot(tvals, vals)
-        return float(abs(overlap) ** 2)
+    return objective
 
 
 def _revival_objective(spec: ProtocolSpec):
@@ -375,7 +339,7 @@ def _revival_objective(spec: ProtocolSpec):
     analytically and only the spectrum phases survive.
     """
     if spec.solver == "splitstep":
-        return _NonlinearTrajectory(spec).fidelity_at
+        return _splitstep_objective(spec)
     model = spec.dispersion_model()
     psi0, _ = _prepare(spec)
     weights = np.abs(psi0.amplitudes) ** 2
@@ -441,8 +405,6 @@ class _LinearDriver:
 
     def advance(self, ta: float, tb: float, flux_active: bool,
                 imprint_active: bool) -> None:
-        if tb <= ta:
-            return
         self.state = evolve_linear(self.state, tb - ta, self.model)
         if flux_active:
             theta = self.spec.flux.angle_per_revival() * (tb - ta) / self.ideal
@@ -468,16 +430,10 @@ class _LinearDriver:
 class _SplitStepDriver:
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState):
         self.spec = spec
-        self.model = spec.dispersion_model()
-        self.units = self.model.units
-        g_int = 0.0
-        if spec.interaction is not None:
-            g_int = spec.interaction.coupling_internal(spec.trap)
-        self.engine = _SplitStepEngine(self.model, spec.grid_n, g_int)
+        self.units = spec.trap.units
+        self.engine = _SplitStepEngine(spec.dispersion_model(), spec.grid_n,
+                                       spec.interaction, spec.flux)
         self.dt_int = spec.dt_factor * TWO_PI
-        self.flux_rate = 0.0
-        if spec.flux is not None:
-            self.flux_rate = spec.flux.angle_per_revival() / TWO_PI
         imp = spec.imprint
         self.pulse_potential = None
         if imp.duration > 0 and imp.phase != 0.0:
@@ -489,15 +445,10 @@ class _SplitStepDriver:
 
     def advance(self, ta: float, tb: float, flux_active: bool,
                 imprint_active: bool) -> None:
-        seg = self.units.time_to_internal(tb - ta)
-        if seg <= 0:
-            return
-        self.engine.flux_rate = self.flux_rate if flux_active else 0.0
         pot = self.pulse_potential if imprint_active else None
-        n = max(1, int(round(seg / self.dt_int)))
-        h = seg / n
-        for _ in range(n):
-            self.values = self.engine.step(self.values, h, pot)
+        self.values = self.engine.propagate(
+            self.values, self.units.time_to_internal(tb - ta), self.dt_int,
+            pot, flux_active)
 
     def apply_imprint(self) -> None:
         imp = self.spec.imprint
@@ -633,53 +584,39 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     )
 
 
-def _run_many(specs, threads: int):
-    if threads <= 1 or len(specs) <= 1:
-        return [run_protocol(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_protocol, specs))
+def _scan(spec: ProtocolSpec, values, name: str, vary):
+    """One run of `vary(base, value)` per value, sharing one revival time."""
+    values = [float(v) for v in values]
+    if not values:
+        raise InvalidParameterError("%s must not be empty" % name)
+    if not all(np.isfinite(values)):
+        raise InvalidParameterError("%s must be finite" % name)
+    base = spec
+    if spec.revival_time_s is None:
+        base = replace(spec, revival_time_s=find_revival_time(spec))
+    return values, [run_protocol(vary(base, v)) for v in values]
 
 
-def _with_resolved_revival(spec: ProtocolSpec) -> ProtocolSpec:
-    if spec.revival_time_s is not None:
-        return spec
-    return replace(spec, revival_time_s=find_revival_time(spec))
-
-
-def sweep_phase(spec: ProtocolSpec, phases, threads: int = 1) -> np.ndarray:
+def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
     """Imbalance fringe over imprint phases: rows (phase rad, imbalance).
 
     The revival time is resolved once and shared by every run, matching an
     experiment that calibrates timing before scanning the signal phase.
     Rows keep the order of `phases`.
     """
-    phases = [float(p) for p in phases]
-    if not phases:
-        raise InvalidParameterError("phases must not be empty")
-    if not all(np.isfinite(phases)):
-        raise InvalidParameterError("phases must be finite")
-    base = _with_resolved_revival(spec)
-    specs = [replace(base, imprint=replace(base.imprint, phase=p))
-             for p in phases]
-    results = _run_many(specs, threads)
+    phases, results = _scan(spec, phases, "phases", lambda base, p: replace(
+        base, imprint=replace(base.imprint, phase=p)))
     return np.array([[p, r.imbalance] for p, r in zip(phases, results)])
 
 
-def timing_sensitivity(spec: ProtocolSpec, offsets,
-                       threads: int = 1) -> np.ndarray:
+def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     """Fringe degradation against imprint timing error.
 
     Rows are (offset s, revival fidelity, imbalance) in the order of
     `offsets`; the zero-offset revival time is resolved once and reused, so
     the scan isolates pure timing error from retiming.
     """
-    offsets = [float(o) for o in offsets]
-    if not offsets:
-        raise InvalidParameterError("offsets must not be empty")
-    if not all(np.isfinite(offsets)):
-        raise InvalidParameterError("offsets must be finite")
-    base = _with_resolved_revival(spec)
-    specs = [replace(base, timing_offset=o) for o in offsets]
-    results = _run_many(specs, threads)
+    offsets, results = _scan(spec, offsets, "offsets", lambda base, o:
+                             replace(base, timing_offset=o))
     return np.array([[o, r.revival_fidelity, r.imbalance]
                      for o, r in zip(offsets, results)])

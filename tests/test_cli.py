@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, CSV outputs, exit codes."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ringsim as rs
-from ringsim.cli import main
+from ringsim.cli import _variant_spec, main
 
 
 QUICK = (
@@ -109,15 +110,20 @@ def test_sweep_phase_variants(quick_cfg, tmp_path):
         assert imbalance == pytest.approx(-math.cos(phi), abs=1e-6)
 
 
-def test_sweep_phase_threads_do_not_change_the_output(quick_cfg, tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep-phase", "--config", quick_cfg, "--out", str(out_a),
-                 "--threads", "1"]) == 0
-    assert main(["sweep-phase", "--config", quick_cfg, "--out", str(out_b),
-                 "--threads", "2"]) == 0
-    for variant in ("ideal", "noninteracting"):
-        name = "sweep_phase_%s.csv" % variant
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+def test_sweep_variants_keep_a_finite_pulse_on_the_split_step_solver():
+    cfg = rs.from_text(QUICK.replace("solver = linear", "solver = splitstep")
+                       + "imprint_duration_ms = 0.1\n")
+    base = rs.build_protocol(cfg)
+    instant = dataclasses.replace(
+        base, imprint=dataclasses.replace(base.imprint, duration=0.0))
+    for name in ("noninteracting", "ideal"):
+        pulsed = _variant_spec(base, name)
+        assert pulsed.solver == "splitstep"
+        assert pulsed.imprint.duration == pytest.approx(1e-4)
+        assert pulsed.interaction.scattering_length == 0.0
+        assert _variant_spec(instant, name).solver == "linear"
+    assert _variant_spec(base, "ideal").imprint.profile == "uniform"
+    assert _variant_spec(base, "interacting") is base
 
 
 def test_spectrum_table(quick_cfg, tmp_path):
@@ -183,11 +189,15 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "mystery_knob" in capsys.readouterr().err
 
 
-def test_invalid_flag_values_exit_2(quick_cfg, tmp_path):
-    assert main(["revival", "--config", quick_cfg, "--out", str(tmp_path),
-                 "--threads", "0"]) == 2
+def test_invalid_flag_values_exit_2(quick_cfg, tmp_path, capsys):
     assert main(["revival", "--config", quick_cfg, "--out", str(tmp_path),
                  "--snapshots", "-1"]) == 2
+    # only the revival run stores snapshots
+    with pytest.raises(SystemExit) as info:
+        main(["timing", "--config", quick_cfg, "--out", str(tmp_path),
+              "--snapshots", "3"])
+    assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_unknown_subcommand_exits_2(capsys):
