@@ -14,10 +14,9 @@ units set hbar = m = R = 1 so the ideal revival period is 2 pi.
 """
 
 from .constants import (ATOMIC_MASS_UNIT, BOHR_MAGNETON, BOHR_RADIUS,
-                        CONSTANTS, DEBYE, ELEMENTARY_CHARGE, HBAR,
-                        K39_MASS_KG, K39_MASS_U, SPEED_OF_LIGHT,
-                        STANDARD_GRAVITY, PhysicalConstants, UnitSystem,
-                        make_unit_system)
+                        DEBYE, ELEMENTARY_CHARGE, HBAR, K39_MASS_KG,
+                        K39_MASS_U, SPEED_OF_LIGHT, STANDARD_GRAVITY,
+                        UnitSystem, make_unit_system)
 from .errors import (AttractiveCouplingWarning, CentroidUndefinedError,
                      ConfigError, ConvergenceError, CutoffInsufficientError,
                      IndeterminateImbalanceError, InvalidParameterError,
@@ -50,10 +49,9 @@ from .config import (ScenarioConfig, build_protocol, build_trap,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ATOMIC_MASS_UNIT", "BOHR_MAGNETON", "BOHR_RADIUS", "CONSTANTS",
-    "DEBYE", "ELEMENTARY_CHARGE", "HBAR", "K39_MASS_KG", "K39_MASS_U",
-    "SPEED_OF_LIGHT", "STANDARD_GRAVITY", "PhysicalConstants", "UnitSystem",
-    "make_unit_system",
+    "ATOMIC_MASS_UNIT", "BOHR_MAGNETON", "BOHR_RADIUS", "DEBYE",
+    "ELEMENTARY_CHARGE", "HBAR", "K39_MASS_KG", "K39_MASS_U",
+    "SPEED_OF_LIGHT", "STANDARD_GRAVITY", "UnitSystem", "make_unit_system",
     "AttractiveCouplingWarning", "CentroidUndefinedError", "ConfigError",
     "ConvergenceError", "CutoffInsufficientError",
     "IndeterminateImbalanceError", "InvalidParameterError",

@@ -28,8 +28,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (ScenarioConfig, build_protocol, build_trap,
-                     from_defaults, from_file)
+from .config import (ScenarioConfig, _format_value, build_protocol,
+                     build_trap, from_defaults, from_file)
 from .constants import (BOHR_MAGNETON, BOHR_RADIUS, DEBYE,
                         ELEMENTARY_CHARGE, HBAR)
 from .errors import ConfigError, RingError
@@ -46,19 +46,8 @@ from .spectrum import (centrifugal_shift, ellipticity_shift,
 TWO_PI = 2.0 * np.pi
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
-
-
 def _header_lines(config: ScenarioConfig, command: str, extra=()) -> list:
     trap = build_trap(config)
-    units = trap.units
     g_int = 0.0
     if config.atom_number > 0:
         g_int = InteractionSpec(config.scattering_length_a0 * BOHR_RADIUS,
@@ -67,14 +56,13 @@ def _header_lines(config: ScenarioConfig, command: str, extra=()) -> list:
              "# config_sha256 = %s" % config.sha256()]
     for line in config.canonical_text().splitlines():
         lines.append("# config %s" % line)
-    lines.append("# internal omega_perp = %s" % _fmt(trap.omega_internal))
-    lines.append("# internal sigma_u_over_radius = %s"
-                 % _fmt(trap.sigma_u / trap.radius))
-    lines.append("# internal coupling = %s" % _fmt(g_int))
-    lines.append("# time_unit_s = %s" % _fmt(units.time_unit))
-    lines.append("# ideal_revival_s = %s" % _fmt(revival_time(trap)))
-    for key, value in extra:
-        lines.append("# %s = %s" % (key, _fmt(value)))
+    derived = [("internal omega_perp", trap.omega_internal),
+               ("internal sigma_u_over_radius", trap.sigma_u / trap.radius),
+               ("internal coupling", g_int),
+               ("time_unit_s", trap.units.time_unit),
+               ("ideal_revival_s", revival_time(trap))]
+    for key, value in derived + list(extra):
+        lines.append("# %s = %s" % (key, _format_value(value)))
     return lines
 
 
@@ -84,7 +72,7 @@ def _write_csv(path, header_lines, columns, rows) -> None:
             handle.write(line + "\n")
         handle.write(",".join(columns) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(",".join(_format_value(v) for v in row) + "\n")
 
 
 def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:

@@ -35,7 +35,10 @@ SWEEP_VARIANTS = ("ideal", "noninteracting", "interacting")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Resolved configuration; every field maps to one file key."""
+    """Resolved configuration; every field maps to one file key.
+
+    A field's annotation picks the parser of its key (see `_PARSERS`).
+    """
 
     # trap and atom (required in files; exactly one omega_perp_* key)
     mass_u: float = K39_MASS_U
@@ -75,9 +78,9 @@ class ScenarioConfig:
     flux_rotation_rad: float = 0.0
     flux_turn_on_ms: float = 0.0
     # subcommand-specific settings
-    timing_offsets_us: tuple = (0.0, 50.0, 150.0, 500.0)
+    timing_offsets_us: tuple[float, ...] = (0.0, 50.0, 150.0, 500.0)
     sweep_phi_count: int = 13
-    sweep_variants: tuple = SWEEP_VARIANTS
+    sweep_variants: tuple[str, ...] = SWEEP_VARIANTS
     n_records: int = 200
     # sensing-table inputs
     sense_charge_e: float = 1.0
@@ -153,7 +156,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# parsers keyed by kind; every field name maps to one kind below
 def _parse_float(raw: str, key: str) -> float:
     try:
         value = float(raw)
@@ -190,13 +192,6 @@ def _parse_str(raw: str, key: str) -> str:
     return raw
 
 
-def _parse_float_list(raw: str, key: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("key %s: expected a comma-separated list" % key)
-    return tuple(_parse_float(p, key) for p in parts)
-
-
 def _parse_str_list(raw: str, key: str) -> tuple:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -204,52 +199,20 @@ def _parse_str_list(raw: str, key: str) -> tuple:
     return tuple(parts)
 
 
-_PARSERS = {
-    "mass_u": _parse_float,
-    "radius_um": _parse_float,
-    "omega_perp_krad_s": _parse_optional_float,
-    "omega_perp_khz": _parse_optional_float,
-    "scattering_length_a0": _parse_float,
-    "atom_number": _parse_float,
-    "solver": _parse_str,
-    "cutoff": _parse_int,
-    "grid_n": _parse_int,
-    "tilt_v0": _parse_float,
-    "tilt_phase_rad": _parse_float,
-    "eccentricity": _parse_float,
-    "correct_tilt": _parse_bool,
-    "correct_centrifugal": _parse_bool,
-    "correct_ellipticity": _parse_bool,
-    "imprint_phase_rad": _parse_float,
-    "imprint_profile": _parse_str,
-    "imprint_window_lo_rad": _parse_float,
-    "imprint_window_hi_rad": _parse_float,
-    "imprint_time_ms": _parse_optional_float,
-    "imprint_duration_ms": _parse_float,
-    "packet_center_rad": _parse_float,
-    "packet_width": _parse_optional_float,
-    "dt_rev_factor": _parse_float,
-    "revival_time_ms": _parse_optional_float,
-    "search_lo": _parse_float,
-    "search_hi": _parse_float,
-    "search_resolution_factor": _parse_float,
-    "readout_weight": _parse_str,
-    "flux_rotation_rad": _parse_float,
-    "flux_turn_on_ms": _parse_float,
-    "timing_offsets_us": _parse_float_list,
-    "sweep_phi_count": _parse_int,
-    "sweep_variants": _parse_str_list,
-    "n_records": _parse_int,
-    "sense_charge_e": _parse_float,
-    "sense_magnetic_field_t": _parse_float,
-    "sense_magnetic_moment_bohr": _parse_float,
-    "sense_electric_field_vm": _parse_float,
-    "sense_electric_dipole_debye": _parse_float,
-    "sense_rotation_rate_rad_s": _parse_float,
-    "sense_tilt_angle_rad": _parse_float,
-    "sense_phase_resolution_rad": _parse_float,
-    "sense_resolution_rad": _parse_optional_float,
+def _parse_float_list(raw: str, key: str) -> tuple:
+    return tuple(_parse_float(p, key) for p in _parse_str_list(raw, key))
+
+
+_PARSER_BY_TYPE = {
+    "float": _parse_float,
+    "float | None": _parse_optional_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "str": _parse_str,
+    "tuple[float, ...]": _parse_float_list,
+    "tuple[str, ...]": _parse_str_list,
 }
+_PARSERS = {f.name: _PARSER_BY_TYPE[f.type] for f in fields(ScenarioConfig)}
 
 # keys a config file must spell out; the frequency pair is checked separately
 REQUIRED_KEYS = ("mass_u", "radius_um", "scattering_length_a0",

@@ -28,33 +28,6 @@ K39_MASS_KG = K39_MASS_U * ATOMIC_MASS_UNIT
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the SI constants the formulas need.
-
-    The defaults are the CODATA values above and are never read from user
-    configuration; the class exists so a test can substitute round numbers.
-    """
-
-    hbar: float = HBAR
-    atomic_mass_unit: float = ATOMIC_MASS_UNIT
-    bohr_radius: float = BOHR_RADIUS
-    elementary_charge: float = ELEMENTARY_CHARGE
-    speed_of_light: float = SPEED_OF_LIGHT
-    bohr_magneton: float = BOHR_MAGNETON
-    gravity: float = STANDARD_GRAVITY
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "atomic_mass_unit", "bohr_radius",
-                     "elementary_charge", "speed_of_light", "bohr_magneton",
-                     "gravity"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"constant {name} must be positive")
-
-
-CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class UnitSystem:
     """Scale factors between SI and the internal dimensionless units.
 

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import math
+
 
 class RingError(Exception):
     """Base class for all errors raised by this package."""
@@ -7,6 +9,14 @@ class RingError(Exception):
 
 class InvalidParameterError(RingError, ValueError):
     """A parameter is outside its documented domain."""
+
+
+def require_finite(owner, *names) -> None:
+    """Raise InvalidParameterError for the first set, non-finite field."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidParameterError("%s must be finite" % name)
 
 
 class CutoffInsufficientError(InvalidParameterError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import (AttractiveCouplingWarning, ConvergenceError,
-                     InvalidParameterError, StepSizeError)
+                     InvalidParameterError, StepSizeError, require_finite)
 from .spectrum import DispersionModel, TrapSpec, revival_time
 from .states import GridState, SpectralState, gaussian_packet, to_grid
 
@@ -50,6 +50,7 @@ class FluxSpec:
     turn_on: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "action", "turn_on")
         if self.turn_on < 0:
             raise InvalidParameterError("turn_on must be >= 0")
 
@@ -81,6 +82,7 @@ class InteractionSpec:
     atom_number: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "scattering_length", "atom_number")
         if self.atom_number < 0:
             raise InvalidParameterError("atom_number must be >= 0")
         if self.scattering_length < 0 and self.atom_number > 0:
@@ -275,10 +277,7 @@ def ground_state_imaginary_time(trap: TrapSpec,
                                 well_frequency: float | None = None,
                                 well_center: float = 0.0,
                                 tolerance: float = 1e-12,
-                                dtau: float | None = None,
-                                max_steps: int = 400000,
-                                initial: GridState | None = None
-                                ) -> GridState:
+                                max_steps: int = 400000) -> GridState:
     """Relax to the mean-field ground state of an angular harmonic well.
 
     The well is V(alpha) = (m/2) wf^2 R^2 wrap(alpha - center)^2 with
@@ -299,23 +298,14 @@ def ground_state_imaginary_time(trap: TrapSpec,
     if wf <= 0:
         raise InvalidParameterError("well_frequency must be positive")
     wf_int = wf * trap.units.time_unit
-    if dtau is None:
-        dtau = 1e-3 / wf_int
-    if dtau <= 0:
-        raise InvalidParameterError("dtau must be positive")
+    dtau = 1e-3 / wf_int
     engine = _SplitStepEngine(DispersionModel(trap=trap, cutoff=1), grid_n,
                               interaction)
     pot = 0.5 * wf_int ** 2 * _wrapped_angle(engine.angles, well_center) ** 2
 
-    if initial is None:
-        width = 1.0 / np.sqrt(wf_int)
-        guess = gaussian_packet(well_center, min(width, 0.5),
-                                cutoff=grid_n // 2 - 1)
-        values = to_grid(guess, grid_n).values.copy()
-    else:
-        if initial.size != grid_n:
-            raise InvalidParameterError("initial state grid size mismatch")
-        values = initial.values.copy()
+    guess = gaussian_packet(well_center, min(1.0 / np.sqrt(wf_int), 0.5),
+                            cutoff=grid_n // 2 - 1)
+    values = to_grid(guess, grid_n).values.copy()
 
     block = 50
     e_prev = engine.energy(values, pot)

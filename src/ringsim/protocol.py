@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import (CentroidUndefinedError, ConfigError,
                      IndeterminateImbalanceError, InvalidParameterError,
-                     RevivalNotFoundError)
+                     RevivalNotFoundError, require_finite)
 from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
                           density_profile, fidelity, population_imbalance)
 from .propagator import (TWO_PI, FluxSpec, InteractionSpec, _SplitStepEngine,
@@ -97,8 +96,7 @@ class ImprintSpec:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.phase):
-            raise InvalidParameterError("imprint phase must be finite")
+        require_finite(self, "phase", "application_time", "duration")
         if self.profile not in WEIGHT_KINDS:
             raise InvalidParameterError(
                 "profile must be one of %s" % (WEIGHT_KINDS,))
@@ -168,6 +166,8 @@ class ProtocolSpec:
     n_snapshots: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self, "packet_center", "dt_factor", "revival_time_s",
+                       "search_resolution_factor", "timing_offset")
         if self.solver not in SOLVERS:
             raise InvalidParameterError(
                 "solver must be one of %s" % (SOLVERS,))
@@ -186,14 +186,12 @@ class ProtocolSpec:
         if self.revival_time_s is not None and self.revival_time_s <= 0:
             raise InvalidParameterError("revival_time_s must be positive")
         lo, hi = self.search_window
-        if not 0 < lo < hi:
+        if not (0 < lo < hi and math.isfinite(hi)):
             raise InvalidParameterError(
-                "search_window must satisfy 0 < low < high")
+                "search_window must be finite with 0 < low < high")
         if self.search_resolution_factor <= 0:
             raise InvalidParameterError(
                 "search_resolution_factor must be positive")
-        if not np.isfinite(self.timing_offset):
-            raise InvalidParameterError("timing_offset must be finite")
         if self.readout_weight not in WEIGHT_KINDS:
             raise InvalidParameterError(
                 "readout_weight must be one of %s" % (WEIGHT_KINDS,))
@@ -299,32 +297,19 @@ def _splitstep_objective(spec: ProtocolSpec):
 
     Every queried time becomes a checkpoint, so a golden-section search that
     keeps narrowing its bracket only ever propagates the short gap from the
-    nearest earlier checkpoint instead of restarting from release.  A gap
-    that spans the flux turn-on is cut there, so the flux acts from exactly
-    its onset.
+    nearest earlier checkpoint instead of restarting from release.
     """
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g)
-    to_internal = driver.units.time_to_internal
-    turn_on = math.inf
-    if spec.flux is not None:
-        turn_on = to_internal(spec.flux.turn_on)
     times, states = [0.0], [driver.values]
 
     def objective(t: float) -> float:
-        t_int = to_internal(t)
-        i = bisect_right(times, t_int) - 1
-        vals = states[i]
-        if t_int > times[i]:
-            cuts = [times[i], t_int]
-            if cuts[0] < turn_on < t_int:
-                cuts.insert(1, turn_on)
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                vals = driver.engine.propagate(vals, b - a, driver.dt_int,
-                                               flux_on=a >= turn_on)
-            times.insert(i + 1, t_int)
-            states.insert(i + 1, vals)
-        driver.values = vals
+        i = bisect_right(times, t) - 1
+        driver.values = states[i]
+        if t > times[i]:
+            driver.advance(times[i], t)
+            times.insert(i + 1, t)
+            states.insert(i + 1, driver.values)
         return driver.overlap_fidelity(
             rotate(psi0_s, np.pi + _flux_angle(spec, t)))
 
@@ -370,13 +355,13 @@ def find_revival_time(spec: ProtocolSpec, window: tuple | None = None,
         window = (spec.search_window[0] * ideal,
                   spec.search_window[1] * ideal)
     lo, hi = float(window[0]), float(window[1])
-    if not 0 <= lo < hi:
+    if not (0 <= lo < hi and math.isfinite(hi)):
         raise InvalidParameterError(
-            "search window must satisfy 0 <= low < high")
+            "search window must be finite with 0 <= low < high")
     if resolution is None:
         resolution = spec.search_resolution_factor * ideal
-    if resolution <= 0:
-        raise InvalidParameterError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise InvalidParameterError("resolution must be finite and positive")
     objective = _revival_objective(spec)
     pitch = 0.25 / spec.trap.omega_perp
     count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
@@ -397,17 +382,20 @@ def find_revival_time(spec: ProtocolSpec, window: tuple | None = None,
 # protocol drivers
 
 class _LinearDriver:
+    """Exact spectral evolution; the flux rotates the state from turn-on."""
+
     def __init__(self, spec: ProtocolSpec, psi0: SpectralState):
         self.spec = spec
         self.model = spec.dispersion_model()
         self.ideal = revival_time(spec.trap)
         self.state = psi0
 
-    def advance(self, ta: float, tb: float, flux_active: bool,
-                imprint_active: bool) -> None:
+    def advance(self, ta: float, tb: float) -> None:
         self.state = evolve_linear(self.state, tb - ta, self.model)
-        if flux_active:
-            theta = self.spec.flux.angle_per_revival() * (tb - ta) / self.ideal
+        flux = self.spec.flux
+        if flux is not None and tb > flux.turn_on:
+            theta = flux.angle_per_revival() * \
+                (tb - max(ta, flux.turn_on)) / self.ideal
             self.state = rotate(self.state, theta)
 
     def apply_imprint(self) -> None:
@@ -428,12 +416,24 @@ class _LinearDriver:
 
 
 class _SplitStepDriver:
-    def __init__(self, spec: ProtocolSpec, psi0_grid: GridState):
+    """Strang-split GPE evolution that switches the Hamiltonian on time.
+
+    `pulse` is the (start, end) of the imprint pulse in seconds after
+    release; the default never starts, as in the imprint-free revival
+    search.  `advance` cuts each interval at the pulse edges and at the flux
+    turn-on, so the pulse potential acts exactly over its window and the
+    flux from exactly its onset.
+    """
+
+    def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
+                 pulse: tuple = (math.inf, math.inf)):
         self.spec = spec
         self.units = spec.trap.units
         self.engine = _SplitStepEngine(spec.dispersion_model(), spec.grid_n,
                                        spec.interaction, spec.flux)
         self.dt_int = spec.dt_factor * TWO_PI
+        self.turn_on = 0.0 if spec.flux is None else spec.flux.turn_on
+        self.pulse = pulse
         imp = spec.imprint
         self.pulse_potential = None
         if imp.duration > 0 and imp.phase != 0.0:
@@ -443,12 +443,15 @@ class _SplitStepDriver:
                 self.engine.angles)
         self.values = psi0_grid.values.copy()
 
-    def advance(self, ta: float, tb: float, flux_active: bool,
-                imprint_active: bool) -> None:
-        pot = self.pulse_potential if imprint_active else None
-        self.values = self.engine.propagate(
-            self.values, self.units.time_to_internal(tb - ta), self.dt_int,
-            pot, flux_active)
+    def advance(self, ta: float, tb: float) -> None:
+        edges = (self.turn_on,) + self.pulse
+        cuts = [ta] + sorted({e for e in edges if ta < e < tb}) + [tb]
+        start, end = self.pulse
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            pot = self.pulse_potential if start <= a and b <= end else None
+            self.values = self.engine.propagate(
+                self.values, self.units.time_to_internal(b - a), self.dt_int,
+                pot, a >= self.turn_on)
 
     def apply_imprint(self) -> None:
         imp = self.spec.imprint
@@ -517,54 +520,30 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
 
     psi0_s, psi0_g = _prepare(spec)
     if spec.solver == "splitstep":
-        driver = _SplitStepDriver(spec, psi0_g)
+        driver = _SplitStepDriver(spec, psi0_g, (t_imp, t_imp + imp.duration))
     else:
         driver = _LinearDriver(spec, psi0_s)
 
-    has_instant = imp.duration == 0 and imp.phase != 0.0
-    record_times = np.linspace(0.0, total, spec.n_records) \
-        if spec.n_records else np.empty(0)
-    snapshot_times = np.linspace(0.0, total, spec.n_snapshots) \
-        if spec.n_snapshots else np.empty(0)
-
-    # tag priority: imprint acts before any same-instant measurement
-    tagged = defaultdict(list)
-    tagged[0.0]
-    tagged[total]
-    if has_instant:
-        tagged[t_imp].append((0, "imprint"))
-    else:
-        tagged[t_imp]
-        tagged[t_imp + imp.duration]
-    if spec.flux is not None and 0.0 < spec.flux.turn_on < total:
-        tagged[spec.flux.turn_on]
-    for i, t in enumerate(record_times):
-        tagged[t].append((1, ("record", i)))
-    for i, t in enumerate(snapshot_times):
-        tagged[t].append((2, ("snapshot", i)))
-
+    record_times = np.linspace(0.0, total, spec.n_records)
+    snapshot_times = np.linspace(0.0, total, spec.n_snapshots)
+    # kinds sort alphabetically, so an imprint acts before any same-instant
+    # measurement; t_imp stays a segment boundary even at zero phase
+    events = sorted([(t_imp, "imprint", 0), (total, "readout", 0)] +
+                    [(t, "record", i) for i, t in enumerate(record_times)] +
+                    [(t, "snapshot", i) for i, t in enumerate(snapshot_times)])
     records = np.full((spec.n_records, 4), np.nan)
     snapshots: list = [None] * spec.n_snapshots
-
-    def handle(t: float) -> None:
-        for _, tag in sorted(tagged[t], key=lambda item: item[0]):
-            if tag == "imprint":
-                driver.apply_imprint()
-            elif tag[0] == "record":
-                fid, imb, cen = _measure(driver, spec, psi0_s, t)
-                records[tag[1]] = (t, fid, imb, cen)
-            else:
-                snapshots[tag[1]] = density_profile(driver.grid())
-
-    event_times = sorted(tagged)
-    handle(event_times[0])
-    for ta, tb in zip(event_times[:-1], event_times[1:]):
-        mid = 0.5 * (ta + tb)
-        flux_active = spec.flux is not None and mid >= spec.flux.turn_on
-        imprint_active = imp.duration > 0 and t_imp <= mid <= t_imp + \
-            imp.duration
-        driver.advance(ta, tb, flux_active, imprint_active)
-        handle(tb)
+    now = 0.0
+    for t, kind, i in events:
+        if t > now:
+            driver.advance(now, t)
+            now = t
+        if kind == "imprint" and imp.duration == 0 and imp.phase != 0.0:
+            driver.apply_imprint()
+        elif kind == "record":
+            records[i] = (t,) + _measure(driver, spec, psi0_s, t)
+        elif kind == "snapshot":
+            snapshots[i] = density_profile(driver.grid())
 
     final_fid, final_imb, final_cen = _measure(driver, spec, psi0_s, total)
     final_grid = driver.grid()

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, UnitSystem, make_unit_system
-from .errors import InvalidParameterError, PerturbationValidityWarning
+from .errors import (InvalidParameterError, PerturbationValidityWarning,
+                     require_finite)
 
 # Trust region for the tilt formula: second-order perturbation theory in the
 # dimensionless potential amplitude.
@@ -63,6 +64,7 @@ class TrapSpec:
             raise InvalidParameterError("radius must be positive")
         if not self.omega_perp > 0:
             raise InvalidParameterError("omega_perp must be positive")
+        require_finite(self, "tilt_amplitude", "tilt_phase")
         if self.tilt_amplitude < 0:
             raise InvalidParameterError("tilt_amplitude must be >= 0")
         if not 0.0 <= self.eccentricity <= 0.5:

@@ -48,6 +48,24 @@ def test_canonical_text_round_trips():
     assert cfg.canonical_text() == text
 
 
+def test_non_default_config_round_trips():
+    # one key of every kind the annotations name
+    cfg = rs.from_text(_minimal_text(
+        radius_um="6.25", revival_time_ms="135.5", n_records="17",
+        correct_tilt="true", readout_weight="uniform",
+        timing_offsets_us="-20, 0, 75.5",
+        sweep_variants="interacting, ideal"))
+    assert (cfg.radius_um, cfg.revival_time_ms, cfg.n_records) == \
+        (6.25, 135.5, 17)
+    assert cfg.correct_tilt is True and cfg.readout_weight == "uniform"
+    assert cfg.timing_offsets_us == (-20.0, 0.0, 75.5)
+    assert cfg.sweep_variants == ("interacting", "ideal")
+    assert cfg.omega_perp_khz is None
+    again = rs.from_text(cfg.canonical_text())
+    assert again == cfg
+    assert again.canonical_text() == cfg.canonical_text()
+
+
 def test_hash_tracks_content():
     cfg = rs.from_defaults()
     digest = cfg.sha256()

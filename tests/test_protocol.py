@@ -48,6 +48,44 @@ def test_imprint_validation():
         rs.ImprintSpec(1.0, application_time=-1e-3)
 
 
+# each builds one object, or runs one search, with a single non-finite input
+_NON_FINITE = {
+    "imprint-duration-nan": lambda trap: rs.ImprintSpec(
+        1.0, duration=math.nan),
+    "imprint-duration-inf": lambda trap: rs.ImprintSpec(
+        1.0, duration=math.inf),
+    "imprint-application-time-nan": lambda trap: rs.ImprintSpec(
+        1.0, application_time=math.nan),
+    "flux-action-nan": lambda trap: rs.FluxSpec(math.nan),
+    "flux-turn-on-nan": lambda trap: rs.FluxSpec(0.0, turn_on=math.nan),
+    "scattering-length-nan": lambda trap: rs.InteractionSpec(math.nan, 1e4),
+    "atom-number-nan": lambda trap: rs.InteractionSpec(1e-9, math.nan),
+    "dt-factor-nan": lambda trap: _linear_spec(trap, dt_factor=math.nan),
+    "revival-time-nan": lambda trap: _linear_spec(
+        trap, revival_time_s=math.nan),
+    "search-resolution-factor-nan": lambda trap: _linear_spec(
+        trap, search_resolution_factor=math.nan),
+    "search-window-inf": lambda trap: _linear_spec(
+        trap, search_window=(0.98, math.inf)),
+    "packet-center-nan": lambda trap: _linear_spec(
+        trap, packet_center=math.nan),
+    "tilt-amplitude-nan": lambda trap: dataclasses.replace(
+        trap, tilt_amplitude=math.nan),
+    "tilt-phase-nan": lambda trap: dataclasses.replace(
+        trap, tilt_phase=math.nan),
+    "search-resolution-nan": lambda trap: rs.find_revival_time(
+        _linear_spec(trap), resolution=math.nan),
+    "search-window-argument-inf": lambda trap: rs.find_revival_time(
+        _linear_spec(trap), window=(0.1, math.inf)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_inputs_fail_at_the_boundary(trap, case):
+    with pytest.raises(rs.InvalidParameterError, match="finite"):
+        _NON_FINITE[case](trap)
+
+
 def test_phase_imprint_leaves_density_untouched(trap):
     grid = rs.to_grid(rs.gaussian_packet(0.0, 0.2, 60), 256)
     imp = rs.ImprintSpec(0.9)
@@ -192,6 +230,24 @@ def test_gauge_flux_rotates_the_readout(trap):
     assert abs(result.revival_fidelity - plain.revival_fidelity) < 1e-10
 
 
+def test_flux_turned_on_inside_a_segment_rotates_from_its_onset(
+        trap, revival_s):
+    # no records: the turn-on falls inside the run's last segment, from the
+    # imprint at T/2 to the readout at T, so each driver must split it there
+    theta, turn_on = 0.8, 0.7 * revival_s
+    spec_lin = _linear_spec(trap, flux=rs.FluxSpec(theta * rs.HBAR, turn_on),
+                            revival_time_s=revival_s, cutoff=100, grid_n=256)
+    r_lin = rs.run_protocol(spec_lin)
+    expected = math.pi + theta * (r_lin.total_duration_s - turn_on) / \
+        revival_s
+    assert r_lin.centroid_angle == pytest.approx(expected, abs=1e-8)
+    r_ss = rs.run_protocol(dataclasses.replace(spec_lin, solver="splitstep",
+                                               dt_factor=1e-3))
+    assert abs(r_ss.centroid_angle - r_lin.centroid_angle) < 1e-6
+    assert abs(r_ss.revival_fidelity - r_lin.revival_fidelity) < 1e-6
+    assert abs(r_ss.imbalance - r_lin.imbalance) < 1e-6
+
+
 def test_records_and_snapshots(trap):
     spec = _linear_spec(trap, imprint=rs.ImprintSpec(math.pi / 3),
                         n_records=7, n_snapshots=3)
@@ -282,9 +338,11 @@ def test_finite_duration_pulse_approaches_the_instant_imprint(trap):
     spec_inst = rs.ProtocolSpec(trap=trap, solver="splitstep",
                                 imprint=rs.ImprintSpec(math.pi / 3),
                                 cutoff=100, grid_n=256, dt_factor=2e-5)
-    spec_dur = dataclasses.replace(
-        spec_inst, imprint=rs.ImprintSpec(math.pi / 3, duration=100e-6))
     r_inst = rs.run_protocol(spec_inst)
+    # the revival search runs imprint-free, so the pulsed run shares its time
+    spec_dur = dataclasses.replace(
+        spec_inst, imprint=rs.ImprintSpec(math.pi / 3, duration=100e-6),
+        revival_time_s=r_inst.revival_time_s)
     r_dur = rs.run_protocol(spec_dur)
     # the fringe position barely moves; fidelity pays a small dephasing cost
     assert abs(r_dur.imbalance - r_inst.imbalance) < 5e-3
@@ -292,10 +350,11 @@ def test_finite_duration_pulse_approaches_the_instant_imprint(trap):
     assert r_dur.revival_fidelity < r_inst.revival_fidelity
 
 
-def test_too_sharp_a_pulse_trips_the_step_guard(trap):
+def test_too_sharp_a_pulse_trips_the_step_guard(trap, revival_s):
     spec = rs.ProtocolSpec(trap=trap, solver="splitstep",
                            imprint=rs.ImprintSpec(math.pi / 3,
                                                   duration=20e-6),
-                           cutoff=100, grid_n=256, dt_factor=2e-5)
+                           cutoff=100, grid_n=256, dt_factor=2e-5,
+                           revival_time_s=revival_s)
     with pytest.raises(rs.StepSizeError):
         rs.run_protocol(spec)
