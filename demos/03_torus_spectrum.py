@@ -25,7 +25,7 @@ def main():
     # energy quanta and a 5% eccentricity.
     trap = rs.TrapSpec(mass=base.mass, radius=base.radius,
                        omega_perp=base.omega_perp,
-                       tilt_amplitude=0.05 * base.units.energy_unit,
+                       tilt_amplitude=0.05 * base.energy_unit,
                        eccentricity=0.05)
     print("trap: radius %.1f um, transverse frequency %.2f kHz"
           % (trap.radius * 1e6, trap.omega_perp / (2.0 * math.pi) * 1e-3))

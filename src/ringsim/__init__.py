@@ -15,8 +15,7 @@ units set hbar = m = R = 1 so the ideal revival period is 2 pi.
 
 from .constants import (ATOMIC_MASS_UNIT, BOHR_MAGNETON, BOHR_RADIUS,
                         DEBYE, ELEMENTARY_CHARGE, HBAR, K39_MASS_KG,
-                        K39_MASS_U, SPEED_OF_LIGHT, STANDARD_GRAVITY,
-                        UnitSystem, make_unit_system)
+                        K39_MASS_U, SPEED_OF_LIGHT, STANDARD_GRAVITY)
 from .errors import (AttractiveCouplingWarning, CentroidUndefinedError,
                      ConfigError, ConvergenceError, CutoffInsufficientError,
                      IndeterminateImbalanceError, InvalidParameterError,
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ATOMIC_MASS_UNIT", "BOHR_MAGNETON", "BOHR_RADIUS", "DEBYE",
     "ELEMENTARY_CHARGE", "HBAR", "K39_MASS_KG", "K39_MASS_U",
-    "SPEED_OF_LIGHT", "STANDARD_GRAVITY", "UnitSystem", "make_unit_system",
+    "SPEED_OF_LIGHT", "STANDARD_GRAVITY",
     "AttractiveCouplingWarning", "CentroidUndefinedError", "ConfigError",
     "ConvergenceError", "CutoffInsufficientError",
     "IndeterminateImbalanceError", "InvalidParameterError",

@@ -59,7 +59,7 @@ def _header_lines(config: ScenarioConfig, command: str, extra=()) -> list:
     derived = [("internal omega_perp", trap.omega_internal),
                ("internal sigma_u_over_radius", trap.sigma_u / trap.radius),
                ("internal coupling", g_int),
-               ("time_unit_s", trap.units.time_unit),
+               ("time_unit_s", trap.time_unit),
                ("ideal_revival_s", revival_time(trap))]
     for key, value in derived + list(extra):
         lines.append("# %s = %s" % (key, _format_value(value)))
@@ -147,11 +147,9 @@ def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
 
 def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     trap = build_trap(config)
-    units = trap.units
     cutoff = config.cutoff
     ells = np.arange(-cutoff, cutoff + 1)
-    ideal_si = units.energy_from_internal(
-        ideal_dispersion(trap, cutoff).energies)
+    ideal_si = ideal_dispersion(trap, cutoff).energies_si
     tilt_si = tilt_shift(trap, ells)
     # report the mode-dependent part only: the transverse zero point is a
     # constant offset that never moves a revival
@@ -162,11 +160,9 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     columns = ["ell", "e_ideal_j", "de_tilt_j", "de_centrifugal_j",
                "de_ellipticity_j", "e_total_j", "e_ideal", "de_tilt",
                "de_centrifugal", "de_ellipticity", "e_total"]
-    to_int = units.energy_to_internal
-    rows = np.column_stack([
-        ells, ideal_si, tilt_si, centrifugal_si, ellipticity_si, total_si,
-        to_int(ideal_si), to_int(tilt_si), to_int(centrifugal_si),
-        to_int(ellipticity_si), to_int(total_si)])
+    si = [ideal_si, tilt_si, centrifugal_si, ellipticity_si, total_si]
+    rows = np.column_stack(
+        [ells] + si + [e / trap.energy_unit for e in si])
     header = _header_lines(config, "spectrum")
     path = os.path.join(out_dir, "spectrum.csv")
     _write_csv(path, header, columns,

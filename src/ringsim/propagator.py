@@ -115,7 +115,7 @@ def evolve_linear(state: SpectralState, duration: float,
         raise InvalidParameterError(
             "dispersion cutoff %d does not match state cutoff %d"
             % (model.cutoff, state.cutoff))
-    t_int = model.units.time_to_internal(duration)
+    t_int = duration / model.trap.time_unit
     phases = model.energies * t_int
     if flux is not None:
         theta = flux.accumulated_angle(model.trap, duration)
@@ -256,14 +256,13 @@ def step_nonlinear(state: GridState, dt: float, model: DispersionModel,
     angular potential in J sampled on the state's grid.  A flux passed here
     is treated as always on (no turn_on bookkeeping at single-step level).
     """
-    units = model.units
     engine = _SplitStepEngine(model, state.size, interaction, flux)
     pot_int = None
     if potential is not None:
-        pot_int = np.asarray(potential, dtype=float) / units.energy_unit
+        pot_int = np.asarray(potential, dtype=float) / model.trap.energy_unit
         if pot_int.shape != (state.size,):
             raise InvalidParameterError("potential must match the grid size")
-    dt_int = units.time_to_internal(dt)
+    dt_int = dt / model.trap.time_unit
     return GridState(engine.step(state.values.copy(), dt_int, pot_int))
 
 
@@ -297,7 +296,7 @@ def ground_state_imaginary_time(trap: TrapSpec,
     wf = trap.omega_perp if well_frequency is None else well_frequency
     if wf <= 0:
         raise InvalidParameterError("well_frequency must be positive")
-    wf_int = wf * trap.units.time_unit
+    wf_int = wf * trap.time_unit
     dtau = 1e-3 / wf_int
     engine = _SplitStepEngine(DispersionModel(trap=trap, cutoff=1), grid_n,
                               interaction)

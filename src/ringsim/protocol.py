@@ -267,7 +267,7 @@ def _prepared_packet(trap: TrapSpec, interaction, solver: str, center: float,
     the coupling vanishes.
     """
     if solver == "splitstep":
-        well = 2.0 / (width ** 2 * trap.units.time_unit)
+        well = 2.0 / (width ** 2 * trap.time_unit)
         grid = ground_state_imaginary_time(trap, interaction, grid_n,
                                            well_frequency=well,
                                            well_center=center)
@@ -331,37 +331,27 @@ def _revival_objective(spec: ProtocolSpec):
     base = np.pi * psi0.ells.astype(float)
 
     def objective(t: float) -> float:
-        phases = base - model.energies * model.units.time_to_internal(t)
+        phases = base - model.energies * (t / model.trap.time_unit)
         return float(abs(np.sum(weights * np.exp(1j * phases))) ** 2)
 
     return objective
 
 
-def find_revival_time(spec: ProtocolSpec, window: tuple | None = None,
-                      resolution: float | None = None) -> float:
+def find_revival_time(spec: ProtocolSpec) -> float:
     """Locate the full-revival readout time (s) by fidelity maximization.
 
     Runs the imprint-free protocol and maximizes the overlap with the
-    half-turn (plus flux corotation) image of the initial packet.  A coarse
-    scan at a quarter of the dephasing time 1 / omega_perp brackets the
-    highest sampled peak, then golden-section refines it to `resolution`
-    seconds.  `window` defaults to `spec.search_window` times the ideal
-    period and must bracket a revival; if the best coarse fidelity does not
-    exceed SEARCH_FIDELITY_FLOOR a RevivalNotFoundError is raised rather
-    than refining noise.
+    half-turn (plus flux corotation) image of the initial packet.  The
+    search covers `spec.search_window` times the ideal period, which must
+    bracket a revival: a coarse scan at a quarter of the dephasing time
+    1 / omega_perp brackets the highest sampled peak, then golden-section
+    refines it to `spec.search_resolution_factor` times the ideal period.
+    If the best coarse fidelity does not exceed SEARCH_FIDELITY_FLOOR a
+    RevivalNotFoundError is raised rather than refining noise.
     """
     ideal = revival_time(spec.trap)
-    if window is None:
-        window = (spec.search_window[0] * ideal,
-                  spec.search_window[1] * ideal)
-    lo, hi = float(window[0]), float(window[1])
-    if not (0 <= lo < hi and math.isfinite(hi)):
-        raise InvalidParameterError(
-            "search window must be finite with 0 <= low < high")
-    if resolution is None:
-        resolution = spec.search_resolution_factor * ideal
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise InvalidParameterError("resolution must be finite and positive")
+    lo, hi = (edge * ideal for edge in spec.search_window)
+    resolution = spec.search_resolution_factor * ideal
     objective = _revival_objective(spec)
     pitch = 0.25 / spec.trap.omega_perp
     count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
@@ -428,7 +418,7 @@ class _SplitStepDriver:
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
                  pulse: tuple = (math.inf, math.inf)):
         self.spec = spec
-        self.units = spec.trap.units
+        self.time_unit = spec.trap.time_unit
         self.engine = _SplitStepEngine(spec.dispersion_model(), spec.grid_n,
                                        spec.interaction, spec.flux)
         self.dt_int = spec.dt_factor * TWO_PI
@@ -438,7 +428,7 @@ class _SplitStepDriver:
         self.pulse_potential = None
         if imp.duration > 0 and imp.phase != 0.0:
             # evolution exp(-i V tau) must reproduce exp(+i phase * profile)
-            rate = -imp.phase / self.units.time_to_internal(imp.duration)
+            rate = -imp.phase / (imp.duration / self.time_unit)
             self.pulse_potential = rate * imp.profile_values(
                 self.engine.angles)
         self.values = psi0_grid.values.copy()
@@ -450,7 +440,7 @@ class _SplitStepDriver:
         for a, b in zip(cuts[:-1], cuts[1:]):
             pot = self.pulse_potential if start <= a and b <= end else None
             self.values = self.engine.propagate(
-                self.values, self.units.time_to_internal(b - a), self.dt_int,
+                self.values, (b - a) / self.time_unit, self.dt_int,
                 pot, a >= self.turn_on)
 
     def apply_imprint(self) -> None:

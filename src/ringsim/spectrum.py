@@ -21,11 +21,11 @@ over the full coupling operator) used by the test suite.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import HBAR, UnitSystem, make_unit_system
+from .constants import HBAR
 from .errors import (InvalidParameterError, PerturbationValidityWarning,
                      require_finite)
 
@@ -58,13 +58,14 @@ class TrapSpec:
     eccentricity: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "mass", "radius", "omega_perp",
+                       "tilt_amplitude", "tilt_phase")
         if not self.mass > 0:
             raise InvalidParameterError("mass must be positive")
         if not self.radius > 0:
             raise InvalidParameterError("radius must be positive")
         if not self.omega_perp > 0:
             raise InvalidParameterError("omega_perp must be positive")
-        require_finite(self, "tilt_amplitude", "tilt_phase")
         if self.tilt_amplitude < 0:
             raise InvalidParameterError("tilt_amplitude must be >= 0")
         if not 0.0 <= self.eccentricity <= 0.5:
@@ -77,8 +78,18 @@ class TrapSpec:
                 PerturbationValidityWarning, stacklevel=2)
 
     @property
-    def units(self) -> UnitSystem:
-        return make_unit_system(self.mass, self.radius)
+    def time_unit(self) -> float:
+        """Internal time unit m R^2 / hbar (s); the length unit is `radius`."""
+        return self.mass * self.radius * self.radius / HBAR
+
+    @property
+    def energy_unit(self) -> float:
+        """Internal energy unit hbar / time_unit = hbar^2 / m R^2 (J).
+
+        Computed as that quotient so time_unit * energy_unit reproduces hbar
+        to the last rounding step.
+        """
+        return HBAR / self.time_unit
 
     @property
     def sigma_u(self) -> float:
@@ -88,12 +99,12 @@ class TrapSpec:
     @property
     def omega_internal(self) -> float:
         """Transverse frequency in internal units, omega_perp * m R^2 / hbar."""
-        return self.omega_perp * self.units.time_unit
+        return self.omega_perp * self.time_unit
 
     @property
     def tilt_internal(self) -> float:
         """Tilt amplitude in internal units V0 / (hbar^2 / m R^2)."""
-        return self.tilt_amplitude / self.units.energy_unit
+        return self.tilt_amplitude / self.energy_unit
 
 
 def revival_time(trap: TrapSpec) -> float:
@@ -102,7 +113,7 @@ def revival_time(trap: TrapSpec) -> float:
     At this time every phase exp(-i E(ell) t / hbar) of the ideal spectrum
     returns to exp(i pi ell): the packet re-forms on the far side of the ring.
     """
-    return 2.0 * np.pi * trap.units.time_unit
+    return 2.0 * np.pi * trap.time_unit
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +163,7 @@ def tilt_shift(trap: TrapSpec, ells) -> np.ndarray:
             "tilt amplitude %.3g (internal) exceeds the perturbative trust "
             "region (< %.2f)" % (v0, TILT_PERTURBATIVE_LIMIT),
             PerturbationValidityWarning, stacklevel=2)
-    return trap.units.energy_from_internal(_tilt_internal(ells, v0))
+    return _tilt_internal(ells, v0) * trap.energy_unit
 
 
 def centrifugal_displacement(trap: TrapSpec, ells) -> np.ndarray:
@@ -162,7 +173,7 @@ def centrifugal_displacement(trap: TrapSpec, ells) -> np.ndarray:
     pseudo-potential pushes the transverse well outward for |ell| >= 1.
     """
     u_int = _displacement_internal(ells, trap.omega_internal)
-    return trap.units.length_from_internal(u_int)
+    return u_int * trap.radius
 
 
 def centrifugal_shift(trap: TrapSpec, ells, k: int = 0) -> np.ndarray:
@@ -177,7 +188,7 @@ def centrifugal_shift(trap: TrapSpec, ells, k: int = 0) -> np.ndarray:
     if k < 0:
         raise InvalidParameterError("transverse quantum number k must be >= 0")
     e_int = _centrifugal_internal(ells, trap.omega_internal, k)
-    return trap.units.energy_from_internal(e_int)
+    return e_int * trap.energy_unit
 
 
 def ellipticity_shift(trap: TrapSpec, ells) -> np.ndarray:
@@ -189,7 +200,7 @@ def ellipticity_shift(trap: TrapSpec, ells) -> np.ndarray:
     perturbation oracle over the full deformation operator.
     """
     e_int = _ellipticity_internal(ells, trap.omega_internal, trap.eccentricity)
-    return trap.units.energy_from_internal(e_int)
+    return e_int * trap.energy_unit
 
 
 @dataclass(frozen=True)
@@ -197,50 +208,34 @@ class DispersionModel:
     """Dispersion E(ell) for the ladder |ell| <= cutoff.
 
     `energies` is dimensionless (internal units); `energies_si` converts.
-    Models built by `ideal_dispersion`/`corrected_dispersion` can also be
-    evaluated at arbitrary ladder index via `internal_at`, which split-step
-    propagation uses for grid harmonics above the state cutoff.  A model
-    built from a raw `energies` array is confined to its ladder.
+    `internal_at` evaluates the same dispersion at any ladder index, which
+    split-step propagation uses for grid harmonics above the state cutoff.
     """
 
     trap: TrapSpec
     cutoff: int
-    energies: np.ndarray = None
     includes_tilt: bool = False
     includes_centrifugal: bool = False
     includes_ellipticity: bool = False
+    energies: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise InvalidParameterError("cutoff must be a positive integer")
-        closed_form = self.energies is None
-        object.__setattr__(self, "_closed_form", closed_form)
-        if closed_form:
-            object.__setattr__(self, "energies", self.internal_at(self.ells))
-        arr = np.array(self.energies, dtype=float, copy=True)
-        if arr.shape != (2 * self.cutoff + 1,):
-            raise InvalidParameterError(
-                "energies must have length 2*cutoff + 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "energies", arr)
+        energies = self.internal_at(self.ells)
+        energies.setflags(write=False)
+        object.__setattr__(self, "energies", energies)
 
     @property
     def ells(self) -> np.ndarray:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
     @property
-    def units(self) -> UnitSystem:
-        return self.trap.units
-
-    @property
     def energies_si(self) -> np.ndarray:
-        return self.units.energy_from_internal(self.energies)
+        return self.energies * self.trap.energy_unit
 
     def internal_at(self, ells) -> np.ndarray:
         """Dimensionless dispersion at arbitrary integer ladder indices."""
-        if not getattr(self, "_closed_form", True):
-            raise InvalidParameterError(
-                "model with explicit energies is undefined beyond its ladder")
         e = _ideal_internal(ells)
         if self.includes_tilt:
             e = e + _tilt_internal(ells, self.trap.tilt_internal)
@@ -304,7 +299,7 @@ def tilt_shift_oracle(trap: TrapSpec, ell: int, cutoff: int = 48) -> float:
         k = abs(int(ell))
         pair = evals[2 * k - 1:2 * k + 1]
         shift = 0.5 * np.sum(pair) - 0.5 * k ** 2
-    return float(trap.units.energy_from_internal(shift))
+    return float(shift * trap.energy_unit)
 
 
 def _ellipticity_matrix(ells: np.ndarray, omega_internal: float,
@@ -376,7 +371,7 @@ def ellipticity_shift_oracle(trap: TrapSpec, ells, cutoff: int = 64,
     s2 = shifts(0.5 * probe)
     linear_in_eps2 = (16.0 * s2 - s1) / 3.0
     scale = (trap.eccentricity / probe) ** 2
-    return trap.units.energy_from_internal(linear_in_eps2 * scale)
+    return linear_in_eps2 * scale * trap.energy_unit
 
 
 @dataclass(frozen=True)

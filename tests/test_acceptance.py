@@ -208,7 +208,7 @@ def test_criterion_07_quartic_correction_magnitude(trap):
 
 
 def test_criterion_08_perturbation_oracles(trap):
-    energy_unit = trap.units.energy_unit
+    energy_unit = trap.energy_unit
 
     def tilted(v0):
         return rs.TrapSpec(mass=trap.mass, radius=trap.radius,
@@ -267,7 +267,7 @@ def test_criterion_09_flux_rotates_without_degrading(trap, revival_s):
                                              - plain.revival_fidelity))
     tilted_trap = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
                               omega_perp=trap.omega_perp,
-                              tilt_amplitude=0.05 * trap.units.energy_unit)
+                              tilt_amplitude=0.05 * trap.energy_unit)
     tilted = rs.run_protocol(dataclasses.replace(base, trap=tilted_trap,
                                                  include_tilt=True))
     drop = plain.revival_fidelity - tilted.revival_fidelity

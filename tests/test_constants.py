@@ -1,4 +1,5 @@
-"""Unit system and physical constants."""
+"""Physical constants and the internal unit scales of a trap."""
+import dataclasses
 import math
 
 import pytest
@@ -27,35 +28,32 @@ def test_potassium_mass():
 
 
 def test_unit_system_scales(trap):
-    units = rs.make_unit_system(rs.K39_MASS_KG, 5.9e-6)
-    assert units.time_unit == pytest.approx(TIME_UNIT_S, rel=1e-15)
-    assert units.time_unit == pytest.approx(
+    assert trap.time_unit == pytest.approx(TIME_UNIT_S, rel=1e-15)
+    assert trap.time_unit == pytest.approx(
         rs.K39_MASS_KG * 5.9e-6 ** 2 / rs.HBAR, rel=1e-15)
-    assert units.energy_unit == pytest.approx(rs.HBAR / units.time_unit,
-                                              rel=1e-15)
-    assert units.action_unit == pytest.approx(rs.HBAR, rel=1e-15)
-    # the same system can be built straight from a trap-like object
-    assert rs.make_unit_system(trap).time_unit == units.time_unit
+    assert trap.energy_unit == pytest.approx(rs.HBAR / trap.time_unit,
+                                             rel=1e-15)
+    assert trap.time_unit * trap.energy_unit == pytest.approx(rs.HBAR,
+                                                              rel=1e-15)
 
 
-def test_unit_round_trips():
-    units = rs.make_unit_system(rs.K39_MASS_KG, 5.9e-6)
-    for value in (1.0, 3.7e-5, 2.4e8):
-        assert units.time_from_internal(
-            units.time_to_internal(value)) == pytest.approx(value, rel=1e-14)
-        assert units.energy_from_internal(
-            units.energy_to_internal(value)) == pytest.approx(value, rel=1e-14)
-        assert units.length_from_internal(
-            units.length_to_internal(value)) == pytest.approx(value, rel=1e-14)
-        assert units.action_from_internal(
-            units.action_to_internal(value)) == pytest.approx(value, rel=1e-14)
+def test_unit_round_trips(trap):
+    # SI -> internal through the trap's derived quantities, back through
+    # its scales
+    for value in (1e-3, 0.05, 2.0):
+        tilted = dataclasses.replace(
+            trap, tilt_amplitude=value * trap.energy_unit)
+        assert tilted.tilt_internal == pytest.approx(value, rel=1e-14)
+    for value in (50.0, 136.7, 1e4):
+        stiff = dataclasses.replace(trap, omega_perp=value / trap.time_unit)
+        assert stiff.omega_internal == pytest.approx(value, rel=1e-14)
 
 
-def test_invalid_unit_system_rejected():
-    with pytest.raises(rs.InvalidParameterError):
-        rs.make_unit_system(-1.0, 5.9e-6)
-    with pytest.raises(rs.InvalidParameterError):
-        rs.make_unit_system(rs.K39_MASS_KG, 0.0)
+def test_invalid_unit_system_rejected(trap):
+    with pytest.raises(rs.InvalidParameterError, match="mass"):
+        dataclasses.replace(trap, mass=-1.0)
+    with pytest.raises(rs.InvalidParameterError, match="radius"):
+        dataclasses.replace(trap, radius=0.0)
 
 
 def test_trap_derived_quantities(trap):

@@ -48,7 +48,7 @@ def test_imprint_validation():
         rs.ImprintSpec(1.0, application_time=-1e-3)
 
 
-# each builds one object, or runs one search, with a single non-finite input
+# each builds one object with a single non-finite input
 _NON_FINITE = {
     "imprint-duration-nan": lambda trap: rs.ImprintSpec(
         1.0, duration=math.nan),
@@ -73,10 +73,11 @@ _NON_FINITE = {
         trap, tilt_amplitude=math.nan),
     "tilt-phase-nan": lambda trap: dataclasses.replace(
         trap, tilt_phase=math.nan),
-    "search-resolution-nan": lambda trap: rs.find_revival_time(
-        _linear_spec(trap), resolution=math.nan),
-    "search-window-argument-inf": lambda trap: rs.find_revival_time(
-        _linear_spec(trap), window=(0.1, math.inf)),
+    "trap-mass-inf": lambda trap: dataclasses.replace(trap, mass=math.inf),
+    "trap-radius-inf": lambda trap: dataclasses.replace(
+        trap, radius=math.inf),
+    "trap-omega-perp-inf": lambda trap: dataclasses.replace(
+        trap, omega_perp=math.inf),
 }
 
 
@@ -114,6 +115,8 @@ def test_protocol_validation(trap):
     with pytest.raises(rs.InvalidParameterError):
         _linear_spec(trap, search_window=(1.02, 0.98))
     with pytest.raises(rs.InvalidParameterError):
+        _linear_spec(trap, search_resolution_factor=-1.0)
+    with pytest.raises(rs.InvalidParameterError):
         _linear_spec(trap, packet_width=1.5)
     with pytest.raises(rs.InvalidParameterError):
         _linear_spec(trap, readout_weight="boxcar")
@@ -146,17 +149,9 @@ def test_search_finds_the_ideal_revival(trap, revival_s):
 
 
 def test_search_reports_a_dead_window(trap):
-    spec = _linear_spec(trap)
+    spec = _linear_spec(trap, search_window=(0.0015, 0.015))
     with pytest.raises(rs.RevivalNotFoundError):
-        rs.find_revival_time(spec, window=(2e-4, 2e-3))
-
-
-def test_search_input_guards(trap):
-    spec = _linear_spec(trap)
-    with pytest.raises(rs.InvalidParameterError):
-        rs.find_revival_time(spec, resolution=-1.0)
-    with pytest.raises(rs.InvalidParameterError):
-        rs.find_revival_time(spec, window=(0.2, 0.1))
+        rs.find_revival_time(spec)
 
 
 def test_centrifugal_correction_retimes_the_revival(trap, revival_s):
