@@ -113,14 +113,13 @@ def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:
 def _variant_spec(base: ProtocolSpec, name: str) -> ProtocolSpec:
     """Sweep variants: full config, coupling zeroed, or textbook-ideal.
 
-    Without the coupling the exact linear solver applies, unless the imprint
-    is a finite pulse, which only the split-step solver can drive.
+    Without the coupling the linear solver applies, instantaneous imprint or
+    finite pulse alike.
     """
     if name == "interacting":
         return base
-    free = replace(
-        base, solver="linear" if base.imprint.duration == 0 else "splitstep",
-        interaction=replace(base.interaction, scattering_length=0.0))
+    free = replace(base, solver="linear", interaction=replace(
+        base.interaction, scattering_length=0.0))
     if name == "noninteracting":
         return free
     return replace(free, flux=None,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .constants import ATOMIC_MASS_UNIT, BOHR_RADIUS, HBAR, K39_MASS_U
 from .errors import ConfigError, InvalidParameterError
@@ -276,14 +276,13 @@ def build_trap(config: ScenarioConfig) -> TrapSpec:
     radius = config.radius_um * 1e-6
     if mass <= 0 or radius <= 0:
         raise ConfigError("mass_u and radius_um must be positive")
-    # the tilt amplitude key is dimensionless (units of hbar^2 / m R^2)
-    energy_unit = HBAR ** 2 / (mass * radius ** 2)
     try:
-        return TrapSpec(mass=mass, radius=radius,
+        trap = TrapSpec(mass=mass, radius=radius,
                         omega_perp=config.omega_perp_rad_s,
-                        tilt_amplitude=config.tilt_v0 * energy_unit,
                         tilt_phase=config.tilt_phase_rad,
                         eccentricity=config.eccentricity)
+        # the tilt amplitude key is dimensionless (units of hbar^2 / m R^2)
+        return replace(trap, tilt_amplitude=config.tilt_v0 * trap.energy_unit)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 

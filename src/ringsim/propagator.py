@@ -1,14 +1,17 @@
 """Time evolution on the ring: exact spectral propagation and split-step GPE.
 
-Two regimes share one set of conventions (see `states`):
+Linear dynamics is diagonal in the angular-momentum ladder, so evolution is
+a per-ell phase exp(-i (E(ell) t + theta_f(t) ell) / hbar) applied in one
+shot for any duration (`evolve_linear` on a spectral state).  theta_f is the
+accumulated gauge-flux angle; a constant flux rotates every revival by
+(flux action)/hbar per ideal period.
 
-* Linear dynamics is diagonal in the angular-momentum ladder, so evolution is
-  a per-ell phase exp(-i (E(ell) t + theta_f(t) ell) / hbar) applied in one
-  shot for any duration.  theta_f is the accumulated gauge-flux angle; a
-  constant flux rotates every revival by (flux action)/hbar per ideal period.
-* Interacting dynamics uses Strang-split FFT stepping on the angular grid
-  with the same dispersion (evaluated on the full grid ladder) for the
-  kinetic half and the mean-field density term in the local half.
+The protocol drives one engine on the angular grid, with the dispersion
+evaluated on the full grid ladder.  An interval with a mean-field coupling
+or a potential takes Strang-split FFT steps, the density and potential
+acting in the local halves.  Without either the local halves are the
+identity, so the engine applies the kinetic phase once, exactly, over the
+whole interval.
 
 Imaginary-time propagation of the same engine relaxes to the mean-field
 ground state in an angular well, which is how the interference protocol
@@ -146,7 +149,8 @@ class _SplitStepEngine:
     with E the (possibly corrected) dispersion evaluated on the full FFT
     harmonic ladder and V an arbitrary time-dependent angular potential.
     One `step` is local half / kinetic full / local half; the kinetic phase
-    also carries the gauge-flux term linear in ell.
+    also carries the gauge-flux term linear in ell.  With no coupling and no
+    potential `propagate` takes one exact kinetic step instead.
     """
 
     def __init__(self, model: DispersionModel, grid_n: int,
@@ -157,20 +161,20 @@ class _SplitStepEngine:
         self.grid_n = grid_n
         self.coupling = (interaction.coupling_internal(model.trap)
                          if interaction is not None else 0.0)
-        self.flux_rate = (flux.angle_per_revival() / TWO_PI
-                          if flux is not None else 0.0)
         self.angles = TWO_PI * np.arange(grid_n) / grid_n
         # integer harmonics of the grid in FFT order
         self.harmonics = np.rint(np.fft.fftfreq(grid_n) * grid_n).astype(int)
         self.energies = model.internal_at(self.harmonics)
+        # kinetic frequencies with the flux on
+        rate = flux.angle_per_revival() / TWO_PI if flux is not None else 0.0
+        self.flux_energies = self.energies + rate * self.harmonics
         self._kin_key = None
         self._kin_phase = None
 
     def kinetic_phase(self, dt: float, flux_on: bool = True) -> np.ndarray:
-        rate = self.flux_rate if flux_on else 0.0
-        key = (dt, rate)
+        key = (dt, flux_on)
         if key != self._kin_key:
-            w = self.energies + rate * self.harmonics
+            w = self.flux_energies if flux_on else self.energies
             self._kin_key = key
             self._kin_phase = np.exp(-1j * w * dt)
         return self._kin_phase
@@ -210,10 +214,16 @@ class _SplitStepEngine:
         """Step across `duration` (internal units) in equal Strang steps.
 
         The step count is round(duration / dt), at least one, so the steps
-        tile the interval exactly; a non-positive duration is a no-op.
+        tile the interval exactly; a non-positive duration is a no-op.  With
+        no coupling and no potential the local half-steps are the identity,
+        so one kinetic step over the whole interval is exact.
         """
         if duration <= 0:
             return values
+        if self.coupling == 0.0 and potential is None:
+            w = self.flux_energies if flux_on else self.energies
+            return np.fft.ifft(np.exp((-1j * duration) * w) *
+                               np.fft.fft(values))
         n = max(1, int(round(duration / dt)))
         h = duration / n
         for _ in range(n):

@@ -20,7 +20,8 @@ packet by (flux action)/hbar per ideal period; the search tracks that
 rotation, so flux never biases the timing.
 
 Everything here works in seconds at the interface and converts to internal
-units (hbar = m = R = 1) only inside the drivers.
+units (hbar = m = R = 1) only inside the revival objectives and the one
+protocol driver, `_SplitStepDriver`, which every run uses whatever its solver.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .errors import (CentroidUndefinedError, ConfigError,
                      IndeterminateImbalanceError, InvalidParameterError,
                      RevivalNotFoundError, require_finite)
 from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
-                          density_profile, fidelity, population_imbalance)
+                          density_profile, population_imbalance)
 from .propagator import (TWO_PI, FluxSpec, InteractionSpec, _SplitStepEngine,
-                         evolve_linear, ground_state_imaginary_time)
+                         ground_state_imaginary_time)
 from .spectrum import TrapSpec, corrected_dispersion, revival_time
 from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
@@ -85,8 +86,8 @@ class ImprintSpec:
     `application_time` is the pulse start in seconds after release; None
     means half of the optimized revival time, the symmetric point of the
     interferometer.  `duration` > 0 spreads the imprint over a potential
-    pulse of that length (split-step solver only); zero applies it
-    instantaneously.
+    pulse of that length, stepped in Strang steps with either solver; zero
+    applies it instantaneously.
     """
 
     phase: float
@@ -125,11 +126,14 @@ class ProtocolSpec:
     parameter `packet_width` (amplitudes ~ exp(-(ell * width)^2 / 4), i.e.
     angular density std width/2); None selects the ground-state width of the
     transverse-frequency angular well, sqrt(2) * sigma_u / R.  The "linear"
-    solver evolves amplitudes exactly and requires zero mean-field coupling
-    and an instantaneous imprint; "splitstep" runs the Strang-split GPE on a
-    `grid_n`-point grid with step `dt_factor` times the ideal revival period
-    and prepares the packet by imaginary-time relaxation in the matching
-    angular well, so interaction broadening is included self-consistently.
+    solver starts from that Gaussian packet, finds the revival from the
+    analytic spectral objective and requires zero mean-field coupling;
+    "splitstep" prepares the packet by imaginary-time relaxation in the
+    matching angular well, so interaction broadening is included
+    self-consistently.  Both run the protocol on the same `grid_n`-point
+    grid: an interval with a coupling or a pulse potential takes Strang
+    steps of `dt_factor` times the ideal revival period, and any other
+    interval one exact kinetic step.
 
     `revival_time_s` pins the recombination readout time; None searches for
     it (see `find_revival_time`) over `search_window` (in units of the ideal
@@ -198,16 +202,10 @@ class ProtocolSpec:
         if self.n_records < 0 or self.n_snapshots < 0:
             raise InvalidParameterError(
                 "n_records and n_snapshots must be >= 0")
-        if self.solver == "linear":
-            if self._coupling() != 0.0:
-                raise ConfigError(
-                    "the linear solver cannot represent a mean-field "
-                    "coupling; use solver='splitstep' or zero the "
-                    "interaction")
-            if self.imprint.duration > 0:
-                raise ConfigError(
-                    "finite-duration imprints need the split-step solver; "
-                    "the linear solver only supports instantaneous ones")
+        if self.solver == "linear" and self._coupling() != 0.0:
+            raise ConfigError(
+                "the linear solver cannot represent a mean-field coupling; "
+                "use solver='splitstep' or zero the interaction")
 
     def _coupling(self) -> float:
         if self.interaction is None:
@@ -369,50 +367,17 @@ def find_revival_time(spec: ProtocolSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# protocol drivers
-
-class _LinearDriver:
-    """Exact spectral evolution; the flux rotates the state from turn-on."""
-
-    def __init__(self, spec: ProtocolSpec, psi0: SpectralState):
-        self.spec = spec
-        self.model = spec.dispersion_model()
-        self.ideal = revival_time(spec.trap)
-        self.state = psi0
-
-    def advance(self, ta: float, tb: float) -> None:
-        self.state = evolve_linear(self.state, tb - ta, self.model)
-        flux = self.spec.flux
-        if flux is not None and tb > flux.turn_on:
-            theta = flux.angle_per_revival() * \
-                (tb - max(ta, flux.turn_on)) / self.ideal
-            self.state = rotate(self.state, theta)
-
-    def apply_imprint(self) -> None:
-        imp = self.spec.imprint
-        grid = to_grid(self.state, self.spec.grid_n)
-        phase = np.exp(1j * imp.phase * imp.profile_values(grid.angles))
-        self.state = to_spectral(GridState(grid.values * phase),
-                                 self.spec.cutoff)
-
-    def grid(self) -> GridState:
-        return to_grid(self.state, self.spec.grid_n)
-
-    def spectral(self) -> SpectralState:
-        return self.state
-
-    def overlap_fidelity(self, target: SpectralState) -> float:
-        return fidelity(target, self.state)
-
+# protocol driver
 
 class _SplitStepDriver:
-    """Strang-split GPE evolution that switches the Hamiltonian on time.
+    """Grid evolution of every protocol run, switching the Hamiltonian on time.
 
-    `pulse` is the (start, end) of the imprint pulse in seconds after
-    release; the default never starts, as in the imprint-free revival
-    search.  `advance` cuts each interval at the pulse edges and at the flux
-    turn-on, so the pulse potential acts exactly over its window and the
-    flux from exactly its onset.
+    Both solvers run here; they differ only in the prepared packet and the
+    revival objective.  `pulse` is the (start, end) of the imprint pulse in
+    seconds after release; the default never starts, as in the imprint-free
+    revival search.  `advance` cuts each interval at the pulse edges and at
+    the flux turn-on, so the pulse potential acts exactly over its window
+    and the flux from exactly its onset.
     """
 
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
@@ -509,10 +474,7 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
             % (t_imp + imp.duration - total))
 
     psi0_s, psi0_g = _prepare(spec)
-    if spec.solver == "splitstep":
-        driver = _SplitStepDriver(spec, psi0_g, (t_imp, t_imp + imp.duration))
-    else:
-        driver = _LinearDriver(spec, psi0_s)
+    driver = _SplitStepDriver(spec, psi0_g, (t_imp, t_imp + imp.duration))
 
     record_times = np.linspace(0.0, total, spec.n_records)
     snapshot_times = np.linspace(0.0, total, spec.n_snapshots)

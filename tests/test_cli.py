@@ -110,7 +110,7 @@ def test_sweep_phase_variants(quick_cfg, tmp_path):
         assert imbalance == pytest.approx(-math.cos(phi), abs=1e-6)
 
 
-def test_sweep_variants_keep_a_finite_pulse_on_the_split_step_solver():
+def test_sweep_variants_without_coupling_use_the_linear_solver():
     cfg = rs.from_text(QUICK.replace("solver = linear", "solver = splitstep")
                        + "imprint_duration_ms = 0.1\n")
     base = rs.build_protocol(cfg)
@@ -118,7 +118,7 @@ def test_sweep_variants_keep_a_finite_pulse_on_the_split_step_solver():
         base, imprint=dataclasses.replace(base.imprint, duration=0.0))
     for name in ("noninteracting", "ideal"):
         pulsed = _variant_spec(base, name)
-        assert pulsed.solver == "splitstep"
+        assert pulsed.solver == "linear"
         assert pulsed.imprint.duration == pytest.approx(1e-4)
         assert pulsed.interaction.scattering_length == 0.0
         assert _variant_spec(instant, name).solver == "linear"

@@ -154,6 +154,14 @@ def test_build_trap_maps_units():
         0.05 * rs.HBAR ** 2 / (trap.mass * trap.radius ** 2), rel=1e-12)
 
 
+def test_build_trap_gives_back_the_dimensionless_tilt():
+    cfg = rs.from_text(_minimal_text(radius_um="6.5716",
+                                     omega_perp_krad_s="5.5276",
+                                     tilt_v0="0.0700"))
+    tilt = rs.build_trap(cfg).tilt_internal
+    assert abs(tilt - 0.07) <= math.ulp(0.07)
+
+
 def test_build_protocol_carries_the_settings():
     cfg = rs.from_text(_minimal_text(imprint_phase_rad="0.7",
                                      flux_rotation_rad="0.3",

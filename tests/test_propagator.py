@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ringsim as rs
+from ringsim.propagator import _SplitStepEngine
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,36 @@ def test_single_step_matches_exact_evolution_without_coupling(trap):
     stepped = rs.to_spectral(rs.step_nonlinear(grid, dt, model), 40)
     exact = rs.evolve_linear(packet, dt, model)
     assert np.max(np.abs(stepped.amplitudes - exact.amplitudes)) < 1e-10
+
+
+@pytest.fixture(scope="module", params=[False, True],
+                ids=["ideal", "centrifugal"])
+def free_engine(request, trap):
+    """Coupling-free engine with a flux, with its model and flux."""
+    model = rs.corrected_dispersion(trap, 100, centrifugal=request.param)
+    flux = rs.FluxSpec(action=0.37 * rs.HBAR)
+    return model, flux, _SplitStepEngine(model, 256, flux=flux)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_exact_kinetic_step_equals_explicit_strang_steps(free_engine, n):
+    _, _, engine = free_engine
+    values = rs.to_grid(rs.gaussian_packet(0.3, 0.121, 100), 256).values
+    duration = 0.37 * 2.0 * math.pi
+    exact = engine.propagate(values, duration, duration)
+    stepped = values
+    for _ in range(n):
+        stepped = engine.step(stepped, duration / n)
+    assert np.max(np.abs(exact - stepped)) < 1e-12
+
+
+def test_exact_kinetic_step_equals_evolve_linear(free_engine, revival_s):
+    model, flux, engine = free_engine
+    packet = rs.gaussian_packet(0.3, 0.121, 100)
+    exact = engine.propagate(rs.to_grid(packet, 256).values,
+                             0.37 * 2.0 * math.pi, 1e-3)
+    spectral = rs.evolve_linear(packet, 0.37 * revival_s, model, flux=flux)
+    assert np.max(np.abs(exact - rs.to_grid(spectral, 256).values)) < 1e-12
 
 
 def test_split_step_is_second_order(trap):
