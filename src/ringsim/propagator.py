@@ -221,8 +221,7 @@ class _SplitStepEngine:
         if duration <= 0:
             return values
         if self.coupling == 0.0 and potential is None:
-            w = self.flux_energies if flux_on else self.energies
-            return np.fft.ifft(np.exp((-1j * duration) * w) *
+            return np.fft.ifft(self.kinetic_phase(duration, flux_on) *
                                np.fft.fft(values))
         n = max(1, int(round(duration / dt)))
         h = duration / n

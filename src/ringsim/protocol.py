@@ -37,9 +37,9 @@ from .errors import (CentroidUndefinedError, ConfigError,
                      IndeterminateImbalanceError, InvalidParameterError,
                      RevivalNotFoundError, require_finite)
 from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
-                          density_profile, population_imbalance)
+                          density_profile, fidelity, population_imbalance)
 from .propagator import (TWO_PI, FluxSpec, InteractionSpec, _SplitStepEngine,
-                         ground_state_imaginary_time)
+                         evolve_linear, ground_state_imaginary_time)
 from .spectrum import TrapSpec, corrected_dispersion, revival_time
 from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
@@ -318,21 +318,15 @@ def _revival_objective(spec: ProtocolSpec):
     """Fidelity-vs-time callable for the phase-free revival search.
 
     The target corotates with the flux, so a constant flux cancels exactly
-    from the objective; for the linear branch that cancellation is applied
-    analytically and only the spectrum phases survive.
+    from the objective; the linear branch therefore evolves the packet
+    spectrally without it and compares with the plain half-turn image.
     """
     if spec.solver == "splitstep":
         return _splitstep_objective(spec)
     model = spec.dispersion_model()
     psi0, _ = _prepare(spec)
-    weights = np.abs(psi0.amplitudes) ** 2
-    base = np.pi * psi0.ells.astype(float)
-
-    def objective(t: float) -> float:
-        phases = base - model.energies * (t / model.trap.time_unit)
-        return float(abs(np.sum(weights * np.exp(1j * phases))) ** 2)
-
-    return objective
+    target = rotate(psi0, np.pi)
+    return lambda t: fidelity(target, evolve_linear(psi0, t, model))
 
 
 def find_revival_time(spec: ProtocolSpec) -> float:

@@ -199,6 +199,20 @@ def test_half_window_imprint_regression_values(trap):
     assert result.imbalance == pytest.approx(-0.50327056, abs=1e-7)
 
 
+def test_uniform_imprint_with_the_quartic_term_against_a_finer_grid(trap):
+    # The grid keeps the imprinted modes above the cutoff, and the flat-top
+    # window is a step sampled on the grid, so the readout converges only to
+    # first order in grid_n: it moves by 1.3e-4 from 512 to 1024 points.
+    spec = _linear_spec(trap, imprint=rs.ImprintSpec(math.pi / 3,
+                                                     profile="uniform"),
+                        include_centrifugal=True)
+    result = rs.run_protocol(spec)
+    reference = rs.run_protocol(dataclasses.replace(
+        spec, cutoff=256, grid_n=1024, revival_time_s=result.revival_time_s))
+    assert result.imbalance == pytest.approx(-0.46846910, abs=1e-8)
+    assert abs(result.imbalance - reference.imbalance) < 1.5e-4
+
+
 def test_imprint_window_follows_an_off_center_packet(trap):
     center = 1.0
     spec = rs.ProtocolSpec(
