@@ -151,6 +151,11 @@ class _SplitStepEngine:
     One `step` is local half / kinetic full / local half; the kinetic phase
     also carries the gauge-flux term linear in ell.  With no coupling and no
     potential `propagate` takes one exact kinetic step instead.
+
+    Values may be one state of shape (grid_n,) or a batch of shape
+    (rows, grid_n), one state per row; the FFTs run along the last axis and
+    a potential may differ per row.  A batch steps like its rows stepped one
+    by one, except that the step guard takes the largest phase over all rows.
     """
 
     def __init__(self, model: DispersionModel, grid_n: int,
@@ -169,21 +174,32 @@ class _SplitStepEngine:
         rate = flux.angle_per_revival() / TWO_PI if flux is not None else 0.0
         self.flux_energies = self.energies + rate * self.harmonics
         self._kin_key = None
-        self._kin_phase = None
+        self._kin_factor = None
+
+    def _kinetic(self, key, factor) -> np.ndarray:
+        # one slot: every step of an interval, or of a relaxation, reuses it
+        if key != self._kin_key:
+            self._kin_key = key
+            self._kin_factor = factor()
+        return self._kin_factor
 
     def kinetic_phase(self, dt: float, flux_on: bool = True) -> np.ndarray:
-        key = (dt, flux_on)
-        if key != self._kin_key:
-            w = self.flux_energies if flux_on else self.energies
-            self._kin_key = key
-            self._kin_phase = np.exp(-1j * w * dt)
-        return self._kin_phase
+        w = self.flux_energies if flux_on else self.energies
+        return self._kinetic((dt, flux_on), lambda: np.exp(-1j * w * dt))
 
     def _local_term(self, values: np.ndarray, potential) -> np.ndarray:
         local = self.coupling * np.abs(values) ** 2
         if potential is not None:
             local = local + potential
         return local
+
+    @staticmethod
+    def _check_step(local: np.ndarray, dt: float) -> None:
+        peak = float(np.max(np.abs(local))) * abs(dt)
+        if peak >= LOCAL_PHASE_LIMIT:
+            raise StepSizeError(
+                "local phase advance %.3g rad per step exceeds %.2g; "
+                "reduce the step size" % (peak, LOCAL_PHASE_LIMIT))
 
     def step(self, values: np.ndarray, dt: float, potential=None,
              flux_on: bool = True) -> np.ndarray:
@@ -195,11 +211,7 @@ class _SplitStepEngine:
         |V + g n| dt of this step exceeds the trust limit.
         """
         local = self._local_term(values, potential)
-        peak = float(np.max(np.abs(local))) * abs(dt)
-        if peak >= LOCAL_PHASE_LIMIT:
-            raise StepSizeError(
-                "local phase advance %.3g rad per step exceeds %.2g; "
-                "reduce the step size" % (peak, LOCAL_PHASE_LIMIT))
+        self._check_step(local, dt)
         half = np.exp(-0.5j * dt * local)
         values = values * half
         values = np.fft.ifft(self.kinetic_phase(dt, flux_on) *
@@ -214,7 +226,10 @@ class _SplitStepEngine:
         """Step across `duration` (internal units) in equal Strang steps.
 
         The step count is round(duration / dt), at least one, so the steps
-        tile the interval exactly; a non-positive duration is a no-op.  With
+        tile the interval exactly; a non-positive duration is a no-op.  The
+        local half-steps keep the density, so the closing half of one step
+        and the opening half of the next fuse into one full local step, and
+        the step guard of `step` runs on the density already in hand.  With
         no coupling and no potential the local half-steps are the identity,
         so one kinetic step over the whole interval is exact.
         """
@@ -225,16 +240,25 @@ class _SplitStepEngine:
                                np.fft.fft(values))
         n = max(1, int(round(duration / dt)))
         h = duration / n
-        for _ in range(n):
-            values = self.step(values, h, potential, flux_on)
-        return values
+        kinetic = self.kinetic_phase(h, flux_on)
+        local = self._local_term(values, potential)
+        self._check_step(local, h)
+        values = values * np.exp(-0.5j * h * local)
+        for _ in range(n - 1):
+            values = np.fft.ifft(kinetic * np.fft.fft(values))
+            local = self._local_term(values, potential)
+            self._check_step(local, h)
+            values *= np.exp(-1j * h * local)
+        values = np.fft.ifft(kinetic * np.fft.fft(values))
+        return values * np.exp(-0.5j * h * self._local_term(values, potential))
 
     def imaginary_step(self, values: np.ndarray, dtau: float,
                        potential=None) -> np.ndarray:
         """One normalized imaginary-time step (no trust-limit check)."""
         local = self._local_term(values, potential)
         values = values * np.exp(-0.5 * dtau * local)
-        kin = np.exp(-dtau * self.energies)
+        kin = self._kinetic((dtau, None),
+                            lambda: np.exp(-dtau * self.energies))
         values = np.fft.ifft(kin * np.fft.fft(values))
         local = self._local_term(values, potential)
         values = values * np.exp(-0.5 * dtau * local)

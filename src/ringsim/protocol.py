@@ -22,6 +22,11 @@ rotation, so flux never biases the timing.
 Everything here works in seconds at the interface and converts to internal
 units (hbar = m = R = 1) only inside the revival objectives and the one
 protocol driver, `_SplitStepDriver`, which every run uses whatever its solver.
+
+A scan (`sweep_phase`, `timing_sensitivity`) is one walk of that driver: the
+runs share a single state from release to the first imprint, then step as
+one batch, one row per scanned value, each read out at its own time.  Scans
+measure only the readout; they take no records and no snapshots.
 """
 
 from __future__ import annotations
@@ -145,7 +150,8 @@ class ProtocolSpec:
 
     `n_records` samples (time, fidelity, imbalance, centroid) along the run
     and `n_snapshots` stores full density profiles, both on an even grid
-    from release to readout.
+    from release to readout.  Only `run_protocol` takes them; the scans
+    ignore both and measure each run at its readout alone.
     """
 
     trap: TrapSpec
@@ -308,8 +314,9 @@ def _splitstep_objective(spec: ProtocolSpec):
             driver.advance(times[i], t)
             times.insert(i + 1, t)
             states.insert(i + 1, driver.values)
-        return driver.overlap_fidelity(
-            rotate(psi0_s, np.pi + _flux_angle(spec, t)))
+        return _overlap_fidelity(
+            rotate(psi0_s, np.pi + _flux_angle(spec, t)), driver.values,
+            spec.grid_n)
 
     return objective
 
@@ -363,67 +370,149 @@ def find_revival_time(spec: ProtocolSpec) -> float:
 # ---------------------------------------------------------------------------
 # protocol driver
 
+
+def _overlap_fidelity(target: SpectralState, values: np.ndarray,
+                      grid_n: int) -> float:
+    tvals = to_grid(target, grid_n).values
+    overlap = TWO_PI / grid_n * np.vdot(tvals, values)
+    return float(abs(overlap) ** 2)
+
+
 class _SplitStepDriver:
-    """Grid evolution of every protocol run, switching the Hamiltonian on time.
+    """Grid evolution of protocol runs, switching the Hamiltonian on time.
 
     Both solvers run here; they differ only in the prepared packet and the
-    revival objective.  `pulse` is the (start, end) of the imprint pulse in
+    revival objective.  The driver steps a batch of runs of one spec that
+    differ only in imprint phase (`phases`) and pulse start (`starts`, in
     seconds after release; the default never starts, as in the imprint-free
-    revival search.  `advance` cuts each interval at the pulse edges and at
-    the flux turn-on, so the pulse potential acts exactly over its window
-    and the flux from exactly its onset.
+    revival search).  `values` holds one row that all runs share until the
+    first `imprint` spreads it to one row per run; `read_out` takes a run's
+    row out of the batch.  `advance` cuts each interval at the flux turn-on
+    and at the pulse edges of every run still in the batch, so each pulse
+    potential acts exactly over its window and the flux from its onset.
     """
 
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
-                 pulse: tuple = (math.inf, math.inf)):
-        self.spec = spec
+                 phases=(0.0,), starts=(math.inf,)):
         self.time_unit = spec.trap.time_unit
         self.engine = _SplitStepEngine(spec.dispersion_model(), spec.grid_n,
                                        spec.interaction, spec.flux)
         self.dt_int = spec.dt_factor * TWO_PI
         self.turn_on = 0.0 if spec.flux is None else spec.flux.turn_on
-        self.pulse = pulse
-        imp = spec.imprint
-        self.pulse_potential = None
-        if imp.duration > 0 and imp.phase != 0.0:
-            # evolution exp(-i V tau) must reproduce exp(+i phase * profile)
-            rate = -imp.phase / (imp.duration / self.time_unit)
-            self.pulse_potential = rate * imp.profile_values(
-                self.engine.angles)
-        self.values = psi0_grid.values.copy()
+        self.duration = spec.imprint.duration
+        self.profile = spec.imprint.profile_values(self.engine.angles)
+        self.phases = np.array(phases, dtype=float)
+        self.starts = np.array(starts, dtype=float)
+        # evolution exp(-i V tau) must reproduce exp(+i phase * profile)
+        self.rates = None
+        if self.duration > 0:
+            self.rates = -self.phases / (self.duration / self.time_unit)
+        self.values = psi0_grid.values[None, :].copy()
+        self.runs = None        # run of each row; None while all share one
+
+    def _pulse(self, a: float, b: float):
+        """Pulse potential over [a, b], one row per run, or None if none acts.
+
+        A run whose pulse does not cover [a, b], or whose phase is zero,
+        gets a zero row.
+        """
+        if self.rates is None or self.runs is None:
+            return None
+        starts = self.starts[self.runs]
+        on = (starts <= a) & (b <= starts + self.duration)
+        rates = np.where(on, self.rates[self.runs], 0.0)
+        if not rates.any():
+            return None
+        return rates[:, None] * self.profile
 
     def advance(self, ta: float, tb: float) -> None:
-        edges = (self.turn_on,) + self.pulse
-        cuts = [ta] + sorted({e for e in edges if ta < e < tb}) + [tb]
-        start, end = self.pulse
+        starts = self.starts if self.runs is None else self.starts[self.runs]
+        edges = {self.turn_on, *starts, *(starts + self.duration)}
+        cuts = [ta] + sorted(e for e in edges if ta < e < tb) + [tb]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            pot = self.pulse_potential if start <= a and b <= end else None
             self.values = self.engine.propagate(
                 self.values, (b - a) / self.time_unit, self.dt_int,
-                pot, a >= self.turn_on)
+                self._pulse(a, b), a >= self.turn_on)
 
-    def apply_imprint(self) -> None:
-        imp = self.spec.imprint
-        profile = imp.profile_values(self.engine.angles)
-        self.values = self.values * np.exp(1j * imp.phase * profile)
+    def imprint(self, run: int) -> None:
+        if self.runs is None:
+            self.runs = np.arange(len(self.phases))
+            self.values = np.repeat(self.values, len(self.runs), axis=0)
+        phase = self.phases[run]
+        if self.duration == 0 and phase != 0.0:
+            row = int(np.flatnonzero(self.runs == run)[0])
+            self.values[row] = self.values[row] * np.exp(
+                1j * phase * self.profile)
 
-    def grid(self) -> GridState:
-        return GridState(self.values)
-
-    def spectral(self) -> SpectralState:
-        return to_spectral(self.grid(), self.spec.cutoff)
-
-    def overlap_fidelity(self, target: SpectralState) -> float:
-        tvals = to_grid(target, self.spec.grid_n).values
-        overlap = TWO_PI / self.spec.grid_n * np.vdot(tvals, self.values)
-        return float(abs(overlap) ** 2)
+    def read_out(self, run: int) -> np.ndarray:
+        """Grid values of `run`, which leaves the batch."""
+        keep = self.runs != run
+        values = self.values[~keep][0]
+        self.runs, self.values = self.runs[keep], self.values[keep]
+        return values
 
 
-def _measure(driver, spec: ProtocolSpec, psi0: SpectralState, t: float):
+# same-instant events: an imprint acts before any measurement, and a run
+# leaves the batch after its last sample
+_EVENT_ORDER = {"imprint": 0, "record": 1, "snapshot": 2, "readout": 3}
+
+
+def _schedule(spec: ProtocolSpec, t_star: float):
+    """(imprint pulse start, readout time) in s for revival time t_star."""
+    imp = spec.imprint
+    start = 0.5 * t_star if imp.application_time is None \
+        else imp.application_time
+    t_imp = start + spec.timing_offset
+    total = t_star + spec.timing_offset + imp.duration
+    if t_imp < 0:
+        raise InvalidParameterError(
+            "imprint pulse would start %.3g s before release; raise the "
+            "timing offset" % t_imp)
+    if t_imp + imp.duration > total:
+        raise InvalidParameterError(
+            "imprint pulse ends %.3g s after the readout time"
+            % (t_imp + imp.duration - total))
+    return t_imp, total
+
+
+def _walk(runs, t_star: float, samples=()):
+    """Step `runs` as one batch; yield (t, kind, index, grid values).
+
+    The runs share every field of `runs[0]` except the imprint phase and
+    the timing offset.  They share one row from release to the first
+    imprint, then take one row each.  Each run yields a "readout" at its own
+    readout time, when it leaves the batch; `samples` are (t, "record" or
+    "snapshot", index) instants at which the first row is yielded, which
+    only a single run takes.
+    """
+    schedule = [_schedule(run, t_star) for run in runs]
+    _, psi0_g = _prepare(runs[0])
+    driver = _SplitStepDriver(runs[0], psi0_g,
+                              [run.imprint.phase for run in runs],
+                              [t_imp for t_imp, _ in schedule])
+    events = ([(t_imp, "imprint", i) for i, (t_imp, _) in enumerate(schedule)]
+              + [(total, "readout", i) for i, (_, total) in enumerate(schedule)]
+              + list(samples))
+    events.sort(key=lambda e: (e[0], _EVENT_ORDER[e[1]], e[2]))
+    now = 0.0
+    for t, kind, i in events:
+        if t > now:
+            driver.advance(now, t)
+            now = t
+        if kind == "imprint":
+            driver.imprint(i)
+        elif kind == "readout":
+            yield t, kind, i, driver.read_out(i)
+        else:
+            yield t, kind, i, driver.values[0]
+
+
+def _measure(values: np.ndarray, spec: ProtocolSpec, psi0: SpectralState,
+             t: float):
     """(fidelity, imbalance, centroid) at protocol time t, NaN-tolerant."""
     target = rotate(psi0, np.pi + _flux_angle(spec, t))
-    fid = driver.overlap_fidelity(target)
-    grid = driver.grid()
+    fid = _overlap_fidelity(target, values, spec.grid_n)
+    grid = GridState(values)
     center = spec.packet_center
     try:
         imbalance = population_imbalance(
@@ -453,52 +542,30 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     t_star = spec.revival_time_s
     if t_star is None:
         t_star = find_revival_time(spec)
-    imp = spec.imprint
-    start = 0.5 * t_star if imp.application_time is None \
-        else imp.application_time
-    t_imp = start + spec.timing_offset
-    total = t_star + spec.timing_offset + imp.duration
-    if t_imp < 0:
-        raise InvalidParameterError(
-            "imprint pulse would start %.3g s before release; raise the "
-            "timing offset" % t_imp)
-    if t_imp + imp.duration > total:
-        raise InvalidParameterError(
-            "imprint pulse ends %.3g s after the readout time"
-            % (t_imp + imp.duration - total))
-
-    psi0_s, psi0_g = _prepare(spec)
-    driver = _SplitStepDriver(spec, psi0_g, (t_imp, t_imp + imp.duration))
-
+    _, total = _schedule(spec, t_star)
+    psi0_s, _ = _prepare(spec)
     record_times = np.linspace(0.0, total, spec.n_records)
     snapshot_times = np.linspace(0.0, total, spec.n_snapshots)
-    # kinds sort alphabetically, so an imprint acts before any same-instant
-    # measurement; t_imp stays a segment boundary even at zero phase
-    events = sorted([(t_imp, "imprint", 0), (total, "readout", 0)] +
-                    [(t, "record", i) for i, t in enumerate(record_times)] +
-                    [(t, "snapshot", i) for i, t in enumerate(snapshot_times)])
+    samples = ([(t, "record", i) for i, t in enumerate(record_times)] +
+               [(t, "snapshot", i) for i, t in enumerate(snapshot_times)])
     records = np.full((spec.n_records, 4), np.nan)
     snapshots: list = [None] * spec.n_snapshots
-    now = 0.0
-    for t, kind, i in events:
-        if t > now:
-            driver.advance(now, t)
-            now = t
-        if kind == "imprint" and imp.duration == 0 and imp.phase != 0.0:
-            driver.apply_imprint()
-        elif kind == "record":
-            records[i] = (t,) + _measure(driver, spec, psi0_s, t)
+    for t, kind, i, values in _walk([spec], t_star, samples):
+        if kind == "record":
+            records[i] = (t,) + _measure(values, spec, psi0_s, t)
         elif kind == "snapshot":
-            snapshots[i] = density_profile(driver.grid())
+            snapshots[i] = density_profile(GridState(values))
+        else:
+            final = values
 
-    final_fid, final_imb, final_cen = _measure(driver, spec, psi0_s, total)
-    final_grid = driver.grid()
+    final_fid, final_imb, final_cen = _measure(final, spec, psi0_s, total)
+    final_grid = GridState(final)
     return ProtocolResult(
         spec=spec,
         revival_time_s=t_star,
         total_duration_s=total,
         initial_spectral=psi0_s,
-        final_spectral=driver.spectral(),
+        final_spectral=to_spectral(final_grid, spec.cutoff),
         final_grid=final_grid,
         revival_fidelity=final_fid,
         imbalance=final_imb,
@@ -510,16 +577,24 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
 
 
 def _scan(spec: ProtocolSpec, values, name: str, vary):
-    """One run of `vary(base, value)` per value, sharing one revival time."""
+    """(fidelity, imbalance, centroid) at the readout of `vary(spec, value)`.
+
+    One row per value, in order.  The revival time is resolved once, and
+    the runs are stepped as one batch (see `_walk`), taking no records.
+    """
     values = [float(v) for v in values]
     if not values:
         raise InvalidParameterError("%s must not be empty" % name)
     if not all(np.isfinite(values)):
         raise InvalidParameterError("%s must be finite" % name)
-    base = spec
-    if spec.revival_time_s is None:
-        base = replace(spec, revival_time_s=find_revival_time(spec))
-    return values, [run_protocol(vary(base, v)) for v in values]
+    t_star = spec.revival_time_s
+    if t_star is None:
+        t_star = find_revival_time(spec)
+    psi0_s, _ = _prepare(spec)
+    measured = [None] * len(values)
+    for t, _, i, row in _walk([vary(spec, v) for v in values], t_star):
+        measured[i] = _measure(row, spec, psi0_s, t)
+    return values, measured
 
 
 def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
@@ -527,11 +602,16 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
 
     The revival time is resolved once and shared by every run, matching an
     experiment that calibrates timing before scanning the signal phase.
-    Rows keep the order of `phases`.
+    The runs share their walk from release to the imprint and then step as
+    one batch, one row per phase, taking no records or snapshots whatever
+    `spec.n_records` and `spec.n_snapshots` say.  Each row equals
+    `run_protocol` of its phase to rounding: bitwise with a mean-field
+    coupling, since every row then takes the same steps.  Rows keep the
+    order of `phases`.
     """
-    phases, results = _scan(spec, phases, "phases", lambda base, p: replace(
+    phases, measured = _scan(spec, phases, "phases", lambda base, p: replace(
         base, imprint=replace(base.imprint, phase=p)))
-    return np.array([[p, r.imbalance] for p, r in zip(phases, results)])
+    return np.array([[p, m[1]] for p, m in zip(phases, measured)])
 
 
 def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
@@ -539,9 +619,14 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
 
     Rows are (offset s, revival fidelity, imbalance) in the order of
     `offsets`; the zero-offset revival time is resolved once and reused, so
-    the scan isolates pure timing error from retiming.
+    the scan isolates pure timing error from retiming.  The runs share their
+    walk from release to the earliest imprint and then step as one batch,
+    each imprinted and read out at its own time, taking no records or
+    snapshots whatever `spec.n_records` and `spec.n_snapshots` say.  Every
+    row's interval is cut at every other row's instants, so where Strang
+    steps are taken (a coupling or a pulse) a row differs from its own
+    `run_protocol` by the O(dt^2) step error, not by rounding only.
     """
-    offsets, results = _scan(spec, offsets, "offsets", lambda base, o:
-                             replace(base, timing_offset=o))
-    return np.array([[o, r.revival_fidelity, r.imbalance]
-                     for o, r in zip(offsets, results)])
+    offsets, measured = _scan(spec, offsets, "offsets", lambda base, o:
+                              replace(base, timing_offset=o))
+    return np.array([[o, m[0], m[1]] for o, m in zip(offsets, measured)])

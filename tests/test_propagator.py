@@ -127,6 +127,46 @@ def test_exact_kinetic_step_equals_evolve_linear(free_engine, revival_s, n):
     assert np.max(np.abs(looped - reference)) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def coupled_engine(trap):
+    """Engine with the mean-field coupling and a flux, and a start state."""
+    inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
+                               atom_number=2e4)
+    flux = rs.FluxSpec(action=0.37 * rs.HBAR)
+    engine = _SplitStepEngine(rs.ideal_dispersion(trap, 100), 256, inter,
+                              flux)
+    values = rs.to_grid(rs.gaussian_packet(0.3, 0.3, 100), 256).values
+    return engine, values
+
+
+@pytest.mark.parametrize("flux_on", [True, False], ids=["flux", "no-flux"])
+@pytest.mark.parametrize("with_potential", [False, True],
+                         ids=["free", "potential"])
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_fused_steps_equal_explicit_strang_steps(coupled_engine, n,
+                                                 with_potential, flux_on):
+    engine, values = coupled_engine
+    potential = 30.0 * np.cos(engine.angles) if with_potential else None
+    h = 2e-5 * 2.0 * math.pi
+    stepped = values
+    for _ in range(n):
+        stepped = engine.step(stepped, h, potential, flux_on)
+    fused = engine.propagate(values, n * h, h, potential, flux_on)
+    assert np.max(np.abs(fused - stepped)) < 1e-12
+
+
+def test_a_batch_steps_like_its_rows_stepped_alone(coupled_engine):
+    engine, _ = coupled_engine
+    rows = np.array([rs.to_grid(rs.gaussian_packet(c, 0.3, 100), 256).values
+                     for c in (0.0, 1.0, 2.5)])
+    potential = np.array([s * np.cos(engine.angles) for s in (0.0, 20, -40)])
+    h = 2e-5 * 2.0 * math.pi
+    batch = engine.propagate(rows, 500 * h, h, potential)
+    for row, pot, out in zip(rows, potential, batch):
+        alone = engine.propagate(row, 500 * h, h, pot)
+        assert np.max(np.abs(out - alone)) < 1e-12
+
+
 def test_split_step_is_second_order(trap):
     # Richardson check: each run is compared against its own quarter-step
     # reference, so halving the step must shrink the error fourfold.

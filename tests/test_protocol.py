@@ -374,6 +374,111 @@ def test_linear_and_split_step_solvers_agree_on_a_pulsed_run(trap,
     assert abs(r_ss.revival_fidelity - r_lin.revival_fidelity) < 1e-6
 
 
+# --------------------------------------------------------------------------
+# scans step one batch; each row must equal the run it stands for
+
+def _coupled_spec(trap, revival_s, **kw):
+    inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
+                               atom_number=5e3)
+    kw.setdefault("dt_factor", 1e-4)
+    return rs.ProtocolSpec(trap=trap, interaction=inter, solver="splitstep",
+                           cutoff=100, grid_n=256, revival_time_s=revival_s,
+                           **kw)
+
+
+def _serial_sweep(spec, phases):
+    return np.array([[p, rs.run_protocol(dataclasses.replace(
+        spec, imprint=dataclasses.replace(spec.imprint, phase=p),
+        n_records=0)).imbalance] for p in phases])
+
+
+def _serial_timing(spec, offsets):
+    runs = [rs.run_protocol(dataclasses.replace(spec, timing_offset=o,
+                                                n_records=0))
+            for o in offsets]
+    return np.array([[o, r.revival_fidelity, r.imbalance]
+                     for o, r in zip(offsets, runs)])
+
+
+_PULSE = rs.ImprintSpec(math.pi / 3, duration=100e-6)
+
+
+@pytest.mark.parametrize("pulsed", [False, True],
+                         ids=["instant", "pulse"])
+def test_batched_coupled_sweep_is_bitwise_the_serial_runs(trap, revival_s,
+                                                          pulsed):
+    # the rows share every cut, so each takes exactly its own run's steps;
+    # the pulse needs a finer step to stay below the step guard
+    if pulsed:
+        spec = _coupled_spec(trap, revival_s, imprint=_PULSE,
+                             dt_factor=4e-5, n_records=50)
+        phases = [0.0, math.pi / 3]
+    else:
+        spec = _coupled_spec(trap, revival_s, n_records=50)
+        phases = [0.0, 1.0, math.pi, 2.0 * math.pi]
+    np.testing.assert_array_equal(rs.sweep_phase(spec, phases),
+                                  _serial_sweep(spec, phases))
+
+
+@pytest.mark.parametrize("case", ["flux-in-second-half", "pulse"])
+def test_batched_linear_sweep_equals_the_serial_runs(trap, revival_s, case):
+    # a zero-phase row of a pulsed batch takes Strang steps under a zero
+    # potential where its own run takes one exact step: rounding only
+    if case == "pulse":
+        spec = _linear_spec(trap, imprint=_PULSE, cutoff=100, grid_n=256,
+                            dt_factor=2e-5, n_records=50)
+    else:
+        spec = _linear_spec(trap, flux=rs.FluxSpec(0.8 * rs.HBAR,
+                                                   0.7 * revival_s),
+                            n_records=50)
+    phases = [0.0, math.pi / 3, 2.0, -1.0]
+    np.testing.assert_allclose(rs.sweep_phase(spec, phases),
+                               _serial_sweep(spec, phases), rtol=0,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("pulsed", [False, True], ids=["instant", "pulse"])
+def test_batched_timing_scan_equals_the_serial_runs(trap, pulsed):
+    # rows are imprinted and read out at their own instants; the pulses of
+    # different rows do not overlap, so no row's pulse is cut by another's
+    if pulsed:
+        spec = _linear_spec(trap, imprint=_PULSE, cutoff=100, grid_n=256,
+                            dt_factor=2e-5, n_records=50)
+        offsets = [150e-6, -300e-6, 0.0, 400e-6]
+    else:
+        spec = _linear_spec(trap, imprint=rs.ImprintSpec(math.pi / 3),
+                            flux=rs.FluxSpec(0.4 * rs.HBAR), n_records=50)
+        offsets = [150e-6, -300e-6, 0.0, 50e-6, -20e-6]
+    np.testing.assert_allclose(rs.timing_sensitivity(spec, offsets),
+                               _serial_timing(spec, offsets), rtol=0,
+                               atol=1e-12)
+
+
+def test_batched_coupled_timing_scan_differs_from_serial_runs_by_step_error(
+        trap, revival_s):
+    # each row's Strang steps are also cut at the other rows' imprint and
+    # readout instants, which re-tiles them: the rows move by the O(dt^2)
+    # step error, not by rounding only (at this step, by up to 5e-6 in
+    # fidelity and 1.2e-7 in imbalance)
+    spec = _coupled_spec(trap, revival_s, imprint=rs.ImprintSpec(1.0))
+    offsets = [-50e-6, 0.0, 120e-6]
+    batched = rs.timing_sensitivity(spec, offsets)
+    serial = _serial_timing(spec, offsets)
+    np.testing.assert_array_equal(batched[:, 0], serial[:, 0])
+    assert np.max(np.abs(batched[:, 1] - serial[:, 1])) < 1e-5
+    assert np.max(np.abs(batched[:, 2] - serial[:, 2])) < 1e-6
+
+
+def test_one_row_too_sharp_stops_the_whole_batch(trap):
+    spec = _linear_spec(trap, imprint=_PULSE, cutoff=100, grid_n=256,
+                        dt_factor=2e-5)
+    rs.sweep_phase(spec, [math.pi / 3])
+    with pytest.raises(rs.StepSizeError):
+        _serial_sweep(spec, [8.0])
+    with pytest.raises(rs.StepSizeError):
+        rs.sweep_phase(spec, [math.pi / 3, 8.0, 0.0])
+
+
 def test_too_sharp_a_pulse_trips_the_step_guard(trap, revival_s):
     spec = rs.ProtocolSpec(trap=trap, solver="splitstep",
                            imprint=rs.ImprintSpec(math.pi / 3,
