@@ -87,11 +87,13 @@ def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:
     print("relative shift:         %+.6g %%" % shift)
     print("revival fidelity:       %.17g" % result.revival_fidelity)
     print("readout imbalance:      %.17g" % result.imbalance)
+    print("step dt_factor:         %.17g" % result.spec.dt_factor)
     header = _header_lines(config, "revival", [
         ("optimized_revival_s", result.revival_time_s),
         ("total_duration_s", result.total_duration_s),
         ("revival_fidelity", result.revival_fidelity),
-        ("readout_imbalance", result.imbalance)])
+        ("readout_imbalance", result.imbalance),
+        ("dt_factor", result.spec.dt_factor)])
     series = os.path.join(out_dir, "revival.csv")
     _write_csv(series, header,
                ["t_s", "fidelity", "imbalance", "centroid_rad"],

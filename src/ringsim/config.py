@@ -38,6 +38,9 @@ class ScenarioConfig:
     """Resolved configuration; every field maps to one file key.
 
     A field's annotation picks the parser of its key (see `_PARSERS`).
+    `dt_rev_factor` is the Strang step in units of the ideal revival
+    period; `auto`, the default, derives it per run from the peak local
+    phase per step (see `ProtocolSpec.dt_factor`).
     """
 
     # trap and atom (required in files; exactly one omega_perp_* key)
@@ -68,7 +71,7 @@ class ScenarioConfig:
     # packet and timing
     packet_center_rad: float = 0.0
     packet_width: float | None = None
-    dt_rev_factor: float = 5e-6
+    dt_rev_factor: float | None = None
     revival_time_ms: float | None = None
     search_lo: float = 0.98
     search_hi: float = 1.02

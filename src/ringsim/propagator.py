@@ -198,8 +198,10 @@ class _SplitStepEngine:
         peak = float(np.max(np.abs(local))) * abs(dt)
         if peak >= LOCAL_PHASE_LIMIT:
             raise StepSizeError(
-                "local phase advance %.3g rad per step exceeds %.2g; "
-                "reduce the step size" % (peak, LOCAL_PHASE_LIMIT))
+                "local phase advance %.3g rad per step reaches the limit "
+                "%.2g rad; lower dt_factor (config key dt_rev_factor) or "
+                "leave it unset (auto) to derive the step from the coupling "
+                "and the pulse" % (peak, LOCAL_PHASE_LIMIT))
 
     def step(self, values: np.ndarray, dt: float, potential=None,
              flux_on: bool = True) -> np.ndarray:

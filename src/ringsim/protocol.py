@@ -43,8 +43,9 @@ from .errors import (CentroidUndefinedError, ConfigError,
                      RevivalNotFoundError, require_finite)
 from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
                           density_profile, fidelity, population_imbalance)
-from .propagator import (TWO_PI, FluxSpec, InteractionSpec, _SplitStepEngine,
-                         evolve_linear, ground_state_imaginary_time)
+from .propagator import (LOCAL_PHASE_LIMIT, TWO_PI, FluxSpec,
+                         InteractionSpec, _SplitStepEngine, evolve_linear,
+                         ground_state_imaginary_time)
 from .spectrum import TrapSpec, corrected_dispersion, revival_time
 from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
@@ -53,6 +54,12 @@ SOLVERS = ("linear", "splitstep")
 
 # A coarse-scan fidelity below this means the window holds no revival.
 SEARCH_FIDELITY_FLOOR = 0.1
+
+# An unset dt_factor keeps the peak local phase per step at a quarter of the
+# step guard's limit, and the step no longer than the cap, at which the
+# reference scenario's outputs stay within 1e-4 of a 5e-6 step (README).
+STEP_PHASE_TARGET = 0.25 * LOCAL_PHASE_LIMIT
+DT_FACTOR_CAP = 2e-5
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -138,7 +145,11 @@ class ProtocolSpec:
     self-consistently.  Both run the protocol on the same `grid_n`-point
     grid: an interval with a coupling or a pulse potential takes Strang
     steps of `dt_factor` times the ideal revival period, and any other
-    interval one exact kinetic step.
+    interval one exact kinetic step.  `dt_factor` None (the default) derives
+    the step once per run from the phase the step guard checks: the step
+    over which the peak local phase rate, |coupling| max|psi0|^2 plus the
+    largest pulse rate, advances STEP_PHASE_TARGET, capped at
+    DT_FACTOR_CAP.  The result's spec carries the factor actually used.
 
     `revival_time_s` pins the recombination readout time; None searches for
     it (see `find_revival_time`) over `search_window` (in units of the ideal
@@ -163,7 +174,7 @@ class ProtocolSpec:
     solver: str = "linear"
     cutoff: int = 128
     grid_n: int = 512
-    dt_factor: float = 5e-6
+    dt_factor: float | None = None
     revival_time_s: float | None = None
     search_window: tuple = (0.98, 1.02)
     search_resolution_factor: float = 1e-6
@@ -191,7 +202,7 @@ class ProtocolSpec:
                 "every ladder mode")
         if self.packet_width is not None and not 0 < self.packet_width < 1:
             raise InvalidParameterError("packet_width must be in (0, 1)")
-        if self.dt_factor <= 0:
+        if self.dt_factor is not None and self.dt_factor <= 0:
             raise InvalidParameterError("dt_factor must be positive")
         if self.revival_time_s is not None and self.revival_time_s <= 0:
             raise InvalidParameterError("revival_time_s must be positive")
@@ -243,7 +254,8 @@ class ProtocolResult:
     packet (right) and its antipode (left); `centroid_angle` the circular
     density centroid (NaN when the density has no direction).  `records`
     rows are (time s, fidelity, imbalance, centroid rad) with NaN for
-    moments where a column is undefined.
+    moments where a column is undefined.  `spec` is the run's spec with
+    `dt_factor` resolved to the factor the run stepped with.
     """
 
     spec: ProtocolSpec
@@ -390,6 +402,10 @@ class _SplitStepDriver:
     row out of the batch.  `advance` cuts each interval at the flux turn-on
     and at the pulse edges of every run still in the batch, so each pulse
     potential acts exactly over its window and the flux from its onset.
+
+    `dt_factor` is the spec's, or when that is unset the one derived from
+    the peak local phase rate of the prepared packet and of the batch's
+    pulse (see `ProtocolSpec`).
     """
 
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
@@ -397,7 +413,6 @@ class _SplitStepDriver:
         self.time_unit = spec.trap.time_unit
         self.engine = _SplitStepEngine(spec.dispersion_model(), spec.grid_n,
                                        spec.interaction, spec.flux)
-        self.dt_int = spec.dt_factor * TWO_PI
         self.turn_on = 0.0 if spec.flux is None else spec.flux.turn_on
         self.duration = spec.imprint.duration
         self.profile = spec.imprint.profile_values(self.engine.angles)
@@ -407,6 +422,17 @@ class _SplitStepDriver:
         self.rates = None
         if self.duration > 0:
             self.rates = -self.phases / (self.duration / self.time_unit)
+        self.dt_factor = spec.dt_factor
+        if self.dt_factor is None:
+            peak = abs(self.engine.coupling) * float(
+                np.max(np.abs(psi0_grid.values) ** 2))
+            if self.rates is not None:
+                peak += float(np.max(np.abs(self.rates)))
+            self.dt_factor = DT_FACTOR_CAP
+            if peak > 0:
+                self.dt_factor = min(DT_FACTOR_CAP,
+                                     STEP_PHASE_TARGET / (TWO_PI * peak))
+        self.dt_int = self.dt_factor * TWO_PI
         self.values = psi0_grid.values[None, :].copy()
         self.runs = None        # run of each row; None while all share one
 
@@ -475,15 +501,12 @@ def _schedule(spec: ProtocolSpec, t_star: float):
     return t_imp, total
 
 
-def _walk(runs, t_star: float, samples=()):
-    """Step `runs` as one batch; yield (t, kind, index, grid values).
+def _batch(runs, t_star: float):
+    """Driver stepping `runs` as one batch, and their (t, kind, run) events.
 
     The runs share every field of `runs[0]` except the imprint phase and
-    the timing offset.  They share one row from release to the first
-    imprint, then take one row each.  Each run yields a "readout" at its own
-    readout time, when it leaves the batch; `samples` are (t, "record" or
-    "snapshot", index) instants at which the first row is yielded, which
-    only a single run takes.
+    the timing offset.  Each run has an "imprint" at its pulse start and a
+    "readout" at its readout time.
     """
     schedule = [_schedule(run, t_star) for run in runs]
     _, psi0_g = _prepare(runs[0])
@@ -491,9 +514,19 @@ def _walk(runs, t_star: float, samples=()):
                               [run.imprint.phase for run in runs],
                               [t_imp for t_imp, _ in schedule])
     events = ([(t_imp, "imprint", i) for i, (t_imp, _) in enumerate(schedule)]
-              + [(total, "readout", i) for i, (_, total) in enumerate(schedule)]
-              + list(samples))
-    events.sort(key=lambda e: (e[0], _EVENT_ORDER[e[1]], e[2]))
+              + [(total, "readout", i) for i, (_, total) in enumerate(schedule)])
+    return driver, events
+
+
+def _walk(driver: _SplitStepDriver, events):
+    """Step `driver` through `events`; yield (t, kind, index, grid values).
+
+    The runs share one row from release to the first imprint, then take one
+    row each.  Each run yields a "readout" at its own readout time, when it
+    leaves the batch; a (t, "record" or "snapshot", index) event yields the
+    first row, which only a single run takes.
+    """
+    events = sorted(events, key=lambda e: (e[0], _EVENT_ORDER[e[1]], e[2]))
     now = 0.0
     for t, kind, i in events:
         if t > now:
@@ -550,7 +583,8 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
                [(t, "snapshot", i) for i, t in enumerate(snapshot_times)])
     records = np.full((spec.n_records, 4), np.nan)
     snapshots: list = [None] * spec.n_snapshots
-    for t, kind, i, values in _walk([spec], t_star, samples):
+    driver, events = _batch([spec], t_star)
+    for t, kind, i, values in _walk(driver, events + samples):
         if kind == "record":
             records[i] = (t,) + _measure(values, spec, psi0_s, t)
         elif kind == "snapshot":
@@ -561,7 +595,7 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     final_fid, final_imb, final_cen = _measure(final, spec, psi0_s, total)
     final_grid = GridState(final)
     return ProtocolResult(
-        spec=spec,
+        spec=replace(spec, dt_factor=driver.dt_factor),
         revival_time_s=t_star,
         total_duration_s=total,
         initial_spectral=psi0_s,
@@ -592,7 +626,8 @@ def _scan(spec: ProtocolSpec, values, name: str, vary):
         t_star = find_revival_time(spec)
     psi0_s, _ = _prepare(spec)
     measured = [None] * len(values)
-    for t, _, i, row in _walk([vary(spec, v) for v in values], t_star):
+    for t, _, i, row in _walk(*_batch([vary(spec, v) for v in values],
+                                      t_star)):
         measured[i] = _measure(row, spec, psi0_s, t)
     return values, measured
 
@@ -606,8 +641,10 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
     one batch, one row per phase, taking no records or snapshots whatever
     `spec.n_records` and `spec.n_snapshots` say.  Each row equals
     `run_protocol` of its phase to rounding: bitwise with a mean-field
-    coupling, since every row then takes the same steps.  Rows keep the
-    order of `phases`.
+    coupling, since every row then takes the same steps.  The one exception
+    is a finite pulse with `dt_factor` unset: the batch derives its step
+    from its largest pulse rate, so a row moves from its own run by the
+    O(dt^2) step error.  Rows keep the order of `phases`.
     """
     phases, measured = _scan(spec, phases, "phases", lambda base, p: replace(
         base, imprint=replace(base.imprint, phase=p)))

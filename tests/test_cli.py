@@ -67,6 +67,23 @@ def test_revival_runs_and_writes_series(quick_cfg, tmp_path, capsys):
             assert found == pytest.approx(rs.revival_time(trap), rel=1e-4)
 
 
+def test_revival_reports_the_step_it_took(tmp_path, capsys):
+    # `auto` (the default) resolves to the factor the run stepped with; an
+    # explicit factor is reported as given
+    for extra, expected in (("", 2e-5), ("dt_rev_factor = 1e-5\n", 1e-5)):
+        path = tmp_path / "step.cfg"
+        path.write_text(QUICK + extra)
+        out = tmp_path / "out"
+        assert main(["revival", "--config", str(path),
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "step dt_factor:         %.17g" % expected in printed
+        header, _, _ = _read_csv(out / "revival.csv")
+        assert "# dt_factor = %.17g" % expected in header
+        assert "# config dt_rev_factor = %s" % (
+            "%.17g" % expected if extra else "auto") in header
+
+
 def test_revival_snapshots_file(quick_cfg, tmp_path):
     out = tmp_path / "out"
     assert main(["revival", "--config", quick_cfg, "--out", str(out),

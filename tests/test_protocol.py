@@ -487,3 +487,85 @@ def test_too_sharp_a_pulse_trips_the_step_guard(trap, revival_s):
                            revival_time_s=revival_s)
     with pytest.raises(rs.StepSizeError):
         rs.run_protocol(spec)
+
+
+# --------------------------------------------------------------------------
+# an unset step is derived from the phase the step guard checks
+
+def _derived_dt_factor(peak_rate):
+    phase = 0.25 * rs.propagator.LOCAL_PHASE_LIMIT
+    return min(2e-5, phase / (2.0 * math.pi * peak_rate))
+
+
+def _reference_coupled(trap, revival_s, a0=1.0, **kw):
+    inter = rs.InteractionSpec(scattering_length=a0 * rs.BOHR_RADIUS,
+                               atom_number=2e4)
+    return rs.ProtocolSpec(trap=trap, interaction=inter, solver="splitstep",
+                           imprint=rs.ImprintSpec(math.pi / 3), cutoff=100,
+                           grid_n=256, revival_time_s=revival_s, **kw)
+
+
+def test_unset_step_is_derived_from_the_peak_local_phase(
+        trap, revival_s, default_packet_width):
+    # coupled: |g| max|psi0|^2 of the packet the split-step solver prepares
+    spec = _reference_coupled(trap, 0.05 * revival_s)
+    packet = rs.ground_state_imaginary_time(
+        trap, spec.interaction, 256,
+        well_frequency=2.0 / (default_packet_width ** 2 * trap.time_unit))
+    peak = spec.interaction.coupling_internal(trap) * float(
+        np.max(np.abs(packet.values) ** 2))
+    result = rs.run_protocol(spec)
+    assert spec.dt_factor is None
+    assert result.spec.dt_factor == pytest.approx(_derived_dt_factor(peak),
+                                                  rel=1e-12)
+    assert result.spec.dt_factor < 2e-5
+    # an explicit step is taken as given
+    explicit = dataclasses.replace(spec, dt_factor=1e-5)
+    assert rs.run_protocol(explicit).spec == explicit
+    # a weak coupling, or none and no pulse: the cap
+    weak = rs.run_protocol(_reference_coupled(trap, 0.05 * revival_s,
+                                              a0=0.25))
+    assert weak.spec.dt_factor == 2e-5
+    linear = rs.run_protocol(_linear_spec(trap, revival_time_s=revival_s))
+    assert linear.spec.dt_factor == 2e-5
+    # a pulse adds its peak rate, the imprint phase over the pulse length
+    pulsed = rs.run_protocol(_linear_spec(trap, imprint=_PULSE, cutoff=100,
+                                          grid_n=256,
+                                          revival_time_s=revival_s))
+    rate = _PULSE.phase / (_PULSE.duration / trap.time_unit)
+    assert pulsed.spec.dt_factor == pytest.approx(_derived_dt_factor(rate),
+                                                  rel=1e-12)
+
+
+def test_unset_step_runs_where_an_explicit_step_trips_the_guard(trap,
+                                                               revival_s):
+    # at 16 a0 a fixed 2e-5 advances the peak phase by ~0.19 rad per step
+    spec = _reference_coupled(trap, 0.02 * revival_s, a0=16.0)
+    with pytest.raises(rs.StepSizeError):
+        rs.run_protocol(dataclasses.replace(spec, dt_factor=2e-5))
+    result = rs.run_protocol(spec)
+    assert result.spec.dt_factor < 5e-6
+    assert np.isfinite(result.revival_fidelity)
+
+
+def test_unset_step_agrees_with_half_the_step(trap, revival_s):
+    # the Strang error at the derived step is far below the 1e-4 readout
+    # tolerance (1.8e-6 here; 2.2e-5 over a full period)
+    spec = _reference_coupled(trap, 0.5 * revival_s)
+    derived = rs.run_protocol(spec)
+    finer = rs.run_protocol(dataclasses.replace(
+        spec, dt_factor=0.5 * derived.spec.dt_factor))
+    assert abs(derived.revival_fidelity - finer.revival_fidelity) < 1e-4
+    assert abs(derived.imbalance - finer.imbalance) < 1e-4
+
+
+def test_unset_step_sweeps_a_pulse_an_explicit_step_cannot(trap, revival_s):
+    # a 2 pi imprint in 100 us trips the guard at 2e-5; the derived step
+    # follows the batch's largest pulse rate
+    spec = _linear_spec(trap, imprint=_PULSE, cutoff=100, grid_n=256,
+                        revival_time_s=revival_s)
+    phases = [0.0, math.pi / 3, 2.0 * math.pi]
+    with pytest.raises(rs.StepSizeError):
+        rs.sweep_phase(dataclasses.replace(spec, dt_factor=2e-5), phases)
+    table = rs.sweep_phase(spec, phases)
+    assert np.all(np.isfinite(table))
