@@ -16,7 +16,8 @@ are plain CSV with a `#`-prefixed header carrying the config hash, the
 resolved configuration, and the dimensionless trap parameters, so a file is
 reproducible from its own header.  Runs are deterministic: identical
 configs give byte-identical files.  Exit codes: 0 success, 1 runtime or
-physics failure, 2 configuration problems.
+physics failure, 2 configuration problems (a config value outside its
+domain included).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .config import (ScenarioConfig, _format_value, build_protocol,
                      build_trap, from_defaults, from_file)
 from .constants import (BOHR_MAGNETON, BOHR_RADIUS, DEBYE,
                         ELEMENTARY_CHARGE, HBAR)
-from .errors import ConfigError, RingError
+from .errors import ConfigError, InvalidParameterError, RingError
 from .propagator import InteractionSpec
 from .protocol import ProtocolSpec, run_protocol, sweep_phase, \
     timing_sensitivity
@@ -293,7 +294,7 @@ def main(argv=None) -> int:
         config = from_file(args.config) if args.config else from_defaults()
         os.makedirs(args.out, exist_ok=True)
         return args.func(config, args, args.out)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print("ringsim: config error: %s" % exc, file=sys.stderr)
         return 2
     except RingError as exc:

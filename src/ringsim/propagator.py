@@ -177,7 +177,9 @@ class _SplitStepEngine:
         self._kin_factor = None
 
     def _kinetic(self, key, factor) -> np.ndarray:
-        # one slot: every step of an interval, or of a relaxation, reuses it
+        # one slot: `propagate` builds its factor once per interval, so the
+        # hits come from relaxation steps and from consecutive intervals of
+        # equal length (exact kinetic steps of a scan, or equal sub-steps)
         if key != self._kin_key:
             self._kin_key = key
             self._kin_factor = factor()

@@ -23,10 +23,11 @@ Everything here works in seconds at the interface and converts to internal
 units (hbar = m = R = 1) only inside the revival objectives and the one
 protocol driver, `_SplitStepDriver`, which every run uses whatever its solver.
 
-A scan (`sweep_phase`, `timing_sensitivity`) is one walk of that driver: the
-runs share a single state from release to the first imprint, then step as
-one batch, one row per scanned value, each read out at its own time.  Scans
-measure only the readout; they take no records and no snapshots.
+A run and a scan (`sweep_phase`, `timing_sensitivity`) are one walk of that
+driver: the runs share a single state from release to the first imprint,
+then step as one batch with one fixed row per scanned value until the last
+readout, each read out at its own time.  Scans measure only the readout;
+they take no records and no snapshots.
 """
 
 from __future__ import annotations
@@ -252,18 +253,16 @@ class ProtocolResult:
     half-turn image of the initial packet at readout; `imbalance` the
     weighted population difference between the ring half centered on the
     packet (right) and its antipode (left); `centroid_angle` the circular
-    density centroid (NaN when the density has no direction).  `records`
-    rows are (time s, fidelity, imbalance, centroid rad) with NaN for
-    moments where a column is undefined.  `spec` is the run's spec with
-    `dt_factor` resolved to the factor the run stepped with.
+    density centroid (NaN when the density has no direction), all three at
+    the readout, `total_duration_s` after release.  `records` rows are
+    (time s, fidelity, imbalance, centroid rad) with NaN for moments where
+    a column is undefined.  `spec` is the run's spec with `dt_factor`
+    resolved to the factor the run stepped with.
     """
 
     spec: ProtocolSpec
     revival_time_s: float
     total_duration_s: float
-    initial_spectral: SpectralState
-    final_spectral: SpectralState
-    final_grid: GridState
     revival_fidelity: float
     imbalance: float
     centroid_angle: float
@@ -398,9 +397,9 @@ class _SplitStepDriver:
     differ only in imprint phase (`phases`) and pulse start (`starts`, in
     seconds after release; the default never starts, as in the imprint-free
     revival search).  `values` holds one row that all runs share until the
-    first `imprint` spreads it to one row per run; `read_out` takes a run's
-    row out of the batch.  `advance` cuts each interval at the flux turn-on
-    and at the pulse edges of every run still in the batch, so each pulse
+    first `imprint` spreads it to one row per run; from then on row i is run
+    i, and no row leaves the batch.  `advance` cuts each interval at the
+    flux turn-on and at the pulse edges of every run, so each pulse
     potential acts exactly over its window and the flux from its onset.
 
     `dt_factor` is the spec's, or when that is unset the one derived from
@@ -418,42 +417,37 @@ class _SplitStepDriver:
         self.profile = spec.imprint.profile_values(self.engine.angles)
         self.phases = np.array(phases, dtype=float)
         self.starts = np.array(starts, dtype=float)
-        # evolution exp(-i V tau) must reproduce exp(+i phase * profile)
-        self.rates = None
+        # evolution exp(-i V tau) must reproduce exp(+i phase * profile); an
+        # instant imprint has no pulse
+        self.rates = np.zeros_like(self.phases)
         if self.duration > 0:
             self.rates = -self.phases / (self.duration / self.time_unit)
         self.dt_factor = spec.dt_factor
         if self.dt_factor is None:
-            peak = abs(self.engine.coupling) * float(
-                np.max(np.abs(psi0_grid.values) ** 2))
-            if self.rates is not None:
-                peak += float(np.max(np.abs(self.rates)))
+            peak = (abs(self.engine.coupling)
+                    * float(np.max(np.abs(psi0_grid.values) ** 2))
+                    + float(np.max(np.abs(self.rates))))
             self.dt_factor = DT_FACTOR_CAP
             if peak > 0:
                 self.dt_factor = min(DT_FACTOR_CAP,
                                      STEP_PHASE_TARGET / (TWO_PI * peak))
         self.dt_int = self.dt_factor * TWO_PI
         self.values = psi0_grid.values[None, :].copy()
-        self.runs = None        # run of each row; None while all share one
 
     def _pulse(self, a: float, b: float):
         """Pulse potential over [a, b], one row per run, or None if none acts.
 
         A run whose pulse does not cover [a, b], or whose phase is zero,
-        gets a zero row.
+        gets a zero row.  No pulse acts before the first imprint.
         """
-        if self.rates is None or self.runs is None:
-            return None
-        starts = self.starts[self.runs]
-        on = (starts <= a) & (b <= starts + self.duration)
-        rates = np.where(on, self.rates[self.runs], 0.0)
+        on = (self.starts <= a) & (b <= self.starts + self.duration)
+        rates = np.where(on, self.rates, 0.0)
         if not rates.any():
             return None
         return rates[:, None] * self.profile
 
     def advance(self, ta: float, tb: float) -> None:
-        starts = self.starts if self.runs is None else self.starts[self.runs]
-        edges = {self.turn_on, *starts, *(starts + self.duration)}
+        edges = {self.turn_on, *self.starts, *(self.starts + self.duration)}
         cuts = [ta] + sorted(e for e in edges if ta < e < tb) + [tb]
         for a, b in zip(cuts[:-1], cuts[1:]):
             self.values = self.engine.propagate(
@@ -461,26 +455,10 @@ class _SplitStepDriver:
                 self._pulse(a, b), a >= self.turn_on)
 
     def imprint(self, run: int) -> None:
-        if self.runs is None:
-            self.runs = np.arange(len(self.phases))
-            self.values = np.repeat(self.values, len(self.runs), axis=0)
-        phase = self.phases[run]
-        if self.duration == 0 and phase != 0.0:
-            row = int(np.flatnonzero(self.runs == run)[0])
-            self.values[row] = self.values[row] * np.exp(
-                1j * phase * self.profile)
-
-    def read_out(self, run: int) -> np.ndarray:
-        """Grid values of `run`, which leaves the batch."""
-        keep = self.runs != run
-        values = self.values[~keep][0]
-        self.runs, self.values = self.runs[keep], self.values[keep]
-        return values
-
-
-# same-instant events: an imprint acts before any measurement, and a run
-# leaves the batch after its last sample
-_EVENT_ORDER = {"imprint": 0, "record": 1, "snapshot": 2, "readout": 3}
+        if len(self.values) < len(self.phases):
+            self.values = np.repeat(self.values, len(self.phases), axis=0)
+        if self.duration == 0 and self.phases[run] != 0.0:
+            self.values[run] *= np.exp(1j * self.phases[run] * self.profile)
 
 
 def _schedule(spec: ProtocolSpec, t_star: float):
@@ -499,45 +477,6 @@ def _schedule(spec: ProtocolSpec, t_star: float):
             "imprint pulse ends %.3g s after the readout time"
             % (t_imp + imp.duration - total))
     return t_imp, total
-
-
-def _batch(runs, t_star: float):
-    """Driver stepping `runs` as one batch, and their (t, kind, run) events.
-
-    The runs share every field of `runs[0]` except the imprint phase and
-    the timing offset.  Each run has an "imprint" at its pulse start and a
-    "readout" at its readout time.
-    """
-    schedule = [_schedule(run, t_star) for run in runs]
-    _, psi0_g = _prepare(runs[0])
-    driver = _SplitStepDriver(runs[0], psi0_g,
-                              [run.imprint.phase for run in runs],
-                              [t_imp for t_imp, _ in schedule])
-    events = ([(t_imp, "imprint", i) for i, (t_imp, _) in enumerate(schedule)]
-              + [(total, "readout", i) for i, (_, total) in enumerate(schedule)])
-    return driver, events
-
-
-def _walk(driver: _SplitStepDriver, events):
-    """Step `driver` through `events`; yield (t, kind, index, grid values).
-
-    The runs share one row from release to the first imprint, then take one
-    row each.  Each run yields a "readout" at its own readout time, when it
-    leaves the batch; a (t, "record" or "snapshot", index) event yields the
-    first row, which only a single run takes.
-    """
-    events = sorted(events, key=lambda e: (e[0], _EVENT_ORDER[e[1]], e[2]))
-    now = 0.0
-    for t, kind, i in events:
-        if t > now:
-            driver.advance(now, t)
-            now = t
-        if kind == "imprint":
-            driver.imprint(i)
-        elif kind == "readout":
-            yield t, kind, i, driver.read_out(i)
-        else:
-            yield t, kind, i, driver.values[0]
 
 
 def _measure(values: np.ndarray, spec: ProtocolSpec, psi0: SpectralState,
@@ -561,6 +500,52 @@ def _measure(values: np.ndarray, spec: ProtocolSpec, psi0: SpectralState,
     return fid, imbalance, centroid
 
 
+def _walk(runs, sampled: bool = False):
+    """Step `runs` as one batch from release to the last readout.
+
+    The runs share every field of `runs[0]` except the imprint phase and
+    the timing offset; the revival time is resolved once, from `runs[0]`.
+    Each run is imprinted at its pulse start and read out at its readout
+    time; at one instant the imprints act first.  `sampled` adds the
+    `n_records` records and `n_snapshots` snapshots of `runs[0]`, evenly
+    from release to its readout, for a single run.  Returns (revival time,
+    dt_factor, events): events are (t, kind, index, measured) in time
+    order, where a snapshot measures the density profile and a "record" or
+    "readout" the (fidelity, imbalance, centroid) of `_measure`.
+    """
+    spec = runs[0]
+    t_star = spec.revival_time_s
+    if t_star is None:
+        t_star = find_revival_time(spec)
+    schedule = [_schedule(run, t_star) for run in runs]
+    psi0_s, psi0_g = _prepare(spec)
+    driver = _SplitStepDriver(spec, psi0_g,
+                              [run.imprint.phase for run in runs],
+                              [t_imp for t_imp, _ in schedule])
+    events = []
+    for i, (t_imp, total) in enumerate(schedule):
+        events += [(t_imp, "imprint", i), (total, "readout", i)]
+    if sampled:
+        for kind, count in (("record", spec.n_records),
+                            ("snapshot", spec.n_snapshots)):
+            events += [(t, kind, i) for i, t in
+                       enumerate(np.linspace(0.0, schedule[0][1], count))]
+    measured, now = [], 0.0
+    for t, kind, i in sorted(events, key=lambda e: (e[0], e[1] != "imprint")):
+        if t > now:
+            driver.advance(now, t)
+            now = t
+        if kind == "imprint":
+            driver.imprint(i)
+            continue
+        row = driver.values[i if kind == "readout" else 0]
+        if kind == "snapshot":
+            measured.append((t, kind, i, density_profile(GridState(row))))
+        else:
+            measured.append((t, kind, i, _measure(row, spec, psi0_s, t)))
+    return t_star, driver.dt_factor, measured
+
+
 def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Drive one full interference run and read out the fringe.
 
@@ -572,40 +557,26 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     in the window, and InvalidParameterError when the pulse would fall
     outside the run.
     """
-    t_star = spec.revival_time_s
-    if t_star is None:
-        t_star = find_revival_time(spec)
-    _, total = _schedule(spec, t_star)
-    psi0_s, _ = _prepare(spec)
-    record_times = np.linspace(0.0, total, spec.n_records)
-    snapshot_times = np.linspace(0.0, total, spec.n_snapshots)
-    samples = ([(t, "record", i) for i, t in enumerate(record_times)] +
-               [(t, "snapshot", i) for i, t in enumerate(snapshot_times)])
+    t_star, dt_factor, events = _walk([spec], sampled=True)
     records = np.full((spec.n_records, 4), np.nan)
-    snapshots: list = [None] * spec.n_snapshots
-    driver, events = _batch([spec], t_star)
-    for t, kind, i, values in _walk(driver, events + samples):
+    snapshot_times = [0.0] * spec.n_snapshots
+    snapshots = [None] * spec.n_snapshots
+    for t, kind, i, measured in events:
         if kind == "record":
-            records[i] = (t,) + _measure(values, spec, psi0_s, t)
+            records[i] = (t,) + measured
         elif kind == "snapshot":
-            snapshots[i] = density_profile(GridState(values))
+            snapshot_times[i], snapshots[i] = float(t), measured
         else:
-            final = values
-
-    final_fid, final_imb, final_cen = _measure(final, spec, psi0_s, total)
-    final_grid = GridState(final)
+            total, (fid, imbalance, centroid) = t, measured
     return ProtocolResult(
-        spec=replace(spec, dt_factor=driver.dt_factor),
+        spec=replace(spec, dt_factor=dt_factor),
         revival_time_s=t_star,
         total_duration_s=total,
-        initial_spectral=psi0_s,
-        final_spectral=to_spectral(final_grid, spec.cutoff),
-        final_grid=final_grid,
-        revival_fidelity=final_fid,
-        imbalance=final_imb,
-        centroid_angle=final_cen,
+        revival_fidelity=fid,
+        imbalance=imbalance,
+        centroid_angle=centroid,
         records=records,
-        snapshot_times=tuple(float(t) for t in snapshot_times),
+        snapshot_times=tuple(snapshot_times),
         snapshots=tuple(snapshots),
     )
 
@@ -613,23 +584,17 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
 def _scan(spec: ProtocolSpec, values, name: str, vary):
     """(fidelity, imbalance, centroid) at the readout of `vary(spec, value)`.
 
-    One row per value, in order.  The revival time is resolved once, and
-    the runs are stepped as one batch (see `_walk`), taking no records.
+    One row per value, in order, from one walk of all the runs (see
+    `_walk`), which takes no records.
     """
     values = [float(v) for v in values]
     if not values:
         raise InvalidParameterError("%s must not be empty" % name)
     if not all(np.isfinite(values)):
         raise InvalidParameterError("%s must be finite" % name)
-    t_star = spec.revival_time_s
-    if t_star is None:
-        t_star = find_revival_time(spec)
-    psi0_s, _ = _prepare(spec)
-    measured = [None] * len(values)
-    for t, _, i, row in _walk(*_batch([vary(spec, v) for v in values],
-                                      t_star)):
-        measured[i] = _measure(row, spec, psi0_s, t)
-    return values, measured
+    _, _, events = _walk([vary(spec, v) for v in values])
+    events.sort(key=lambda e: e[2])
+    return values, [measured for _, _, _, measured in events]
 
 
 def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
@@ -659,7 +624,9 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     the scan isolates pure timing error from retiming.  The runs share their
     walk from release to the earliest imprint and then step as one batch,
     each imprinted and read out at its own time, taking no records or
-    snapshots whatever `spec.n_records` and `spec.n_snapshots` say.  Every
+    snapshots whatever `spec.n_records` and `spec.n_snapshots` say.  No row
+    leaves the batch at its readout: every row steps on until the latest
+    one, so the scan takes extra steps over the spread of `offsets`.  Every
     row's interval is cut at every other row's instants, so where Strang
     steps are taken (a coupling or a pulse) a row differs from its own
     `run_protocol` by the O(dt^2) step error, not by rounding only.

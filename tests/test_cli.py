@@ -243,3 +243,23 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
     assert main(["sense", "--config", quick_cfg,
                  "--out", str(blocker / "sub")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, change", [
+    ("sense", ("atom_number = 20000", "atom_number = -1")),
+    ("sense", ("", "sense_phase_resolution_rad = 0")),
+    ("revival", ("", "packet_width = 0.02")),
+    ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000")),
+], ids=["negative-atom-number", "zero-phase-resolution",
+        "cutoff-too-small-for-the-packet", "pulse-before-release"])
+def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
+                                            change):
+    # a value the config parser accepts but the physics layer rejects is
+    # still a configuration problem
+    old, new = change
+    text = QUICK.replace(old, new) if old else QUICK + new + "\n"
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error:" in capsys.readouterr().err

@@ -469,6 +469,30 @@ def test_batched_coupled_timing_scan_differs_from_serial_runs_by_step_error(
     assert np.max(np.abs(batched[:, 2] - serial[:, 2])) < 1e-6
 
 
+@pytest.mark.parametrize("scan", ["coupled-timing", "pulsed-sweep"])
+def test_scan_rows_do_not_depend_on_the_order_of_the_values(trap, revival_s,
+                                                            scan):
+    # row i of the batch is run i from its imprint to the end of the walk;
+    # a scan's rows, matched up by value, come out bitwise the same in any
+    # order of the values
+    if scan == "coupled-timing":
+        spec = _coupled_spec(trap, revival_s, imprint=rs.ImprintSpec(1.0))
+        values = [-50e-6, 0.0, 120e-6]
+        permuted = values[::-1]
+        table = rs.timing_sensitivity
+    else:
+        spec = _coupled_spec(trap, revival_s, imprint=_PULSE,
+                             dt_factor=4e-5)
+        values = [0.0, 1.0, math.pi / 3, -0.5]
+        permuted = [values[i] for i in (2, 0, 3, 1)]
+        table = rs.sweep_phase
+    rows = table(spec, values)
+    rows_permuted = table(spec, permuted)
+    np.testing.assert_array_equal(rows_permuted[:, 0], permuted)
+    order = [values.index(v) for v in permuted]
+    np.testing.assert_array_equal(rows_permuted, rows[order])
+
+
 def test_one_row_too_sharp_stops_the_whole_batch(trap):
     spec = _linear_spec(trap, imprint=_PULSE, cutoff=100, grid_n=256,
                         dt_factor=2e-5)
