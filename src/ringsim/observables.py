@@ -10,6 +10,7 @@ equals -cos(imprinted phase) in the ideal limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +90,21 @@ def _window_profile(angles, window, kind: str):
     return mask, np.where(mask, np.cos(angles - center) ** 2, 0.0)
 
 
+@lru_cache(maxsize=32)
+def _grid_window(grid_n: int, window: tuple, kind: str):
+    """Read-only (mask, profile inside the mask) of `window` on a grid.
+
+    The grid is that of a `grid_n`-point GridState; a readout takes the
+    same windows at every record, so each pair is built once.
+    """
+    angles = TWO_PI * np.arange(grid_n) / grid_n
+    mask, profile = _window_profile(angles, window, kind)
+    weights = profile[mask]
+    mask.setflags(write=False)
+    weights.setflags(write=False)
+    return mask, weights
+
+
 def _windows_disjoint(first, second) -> bool:
     lo1, hi1 = first
     lo2, hi2 = second
@@ -138,11 +154,10 @@ def population_imbalance(state, *, weight: str = "cosine_squared",
         raise InvalidParameterError("readout windows overlap")
     grid = _as_grid(state, grid_n)
     density = np.abs(grid.values) ** 2
-    angles = grid.angles
     totals = []
     for window in (right_window, left_window):
-        mask, w = _window_profile(angles, window, weight)
-        totals.append(float(np.sum(density[mask] * w[mask])))
+        mask, w = _grid_window(grid.size, tuple(window), weight)
+        totals.append(float(np.sum(density[mask] * w)))
     n_right, n_left = totals
     total = n_right + n_left
     if total < 1e-12:

@@ -197,7 +197,7 @@ class _SplitStepEngine:
 
     @staticmethod
     def _check_step(local: np.ndarray, dt: float) -> None:
-        peak = float(np.max(np.abs(local))) * abs(dt)
+        peak = float(np.abs(local).max()) * abs(dt)
         if peak >= LOCAL_PHASE_LIMIT:
             raise StepSizeError(
                 "local phase advance %.3g rad per step reaches the limit "
@@ -247,12 +247,30 @@ class _SplitStepEngine:
         kinetic = self.kinetic_phase(h, flux_on)
         local = self._local_term(values, potential)
         self._check_step(local, h)
+        # a fresh array, so the loop below may work in place without
+        # touching the caller's values
         values = values * np.exp(-0.5j * h * local)
+        spectrum = np.empty_like(values)
+        phase = np.empty_like(values)
+        local = np.empty(values.shape)
         for _ in range(n - 1):
-            values = np.fft.ifft(kinetic * np.fft.fft(values))
-            local = self._local_term(values, potential)
+            # kinetic * spectrum, not spectrum * kinetic: numpy's complex
+            # product is not bitwise commutative, and step() takes this order
+            np.fft.fft(values, out=spectrum)
+            np.multiply(kinetic, spectrum, out=spectrum)
+            np.fft.ifft(spectrum, out=values)
+            np.abs(values, out=local)
+            local *= local
+            local *= self.coupling
+            if potential is not None:
+                local += potential
             self._check_step(local, h)
-            values *= np.exp(-1j * h * local)
+            # exp(-i h local) of a real local term, bitwise: cos and
+            # sin of theta = -h local
+            local *= -h
+            np.cos(local, out=phase.real)
+            np.sin(local, out=phase.imag)
+            values *= phase
         values = np.fft.ifft(kinetic * np.fft.fft(values))
         return values * np.exp(-0.5j * h * self._local_term(values, potential))
 

@@ -24,10 +24,12 @@ units (hbar = m = R = 1) only inside the revival objectives and the one
 protocol driver, `_SplitStepDriver`, which every run uses whatever its solver.
 
 A run and a scan (`sweep_phase`, `timing_sensitivity`) are one walk of that
-driver: the runs share a single state from release to the first imprint,
-then step as one batch with one fixed row per scanned value until the last
-readout, each read out at its own time.  Scans measure only the readout;
-they take no records and no snapshots.
+driver: the runs share a single state to the first imprint, then step as
+one batch with one fixed row per scanned value until the last readout, each
+read out at its own time.  After a split-step revival search the shared
+state starts from the search's checkpoint at half the window's lower edge
+rather than from release, where the walk allows it (see `_walk`).  Scans
+measure only the readout; they take no records and no snapshots.
 """
 
 from __future__ import annotations
@@ -307,16 +309,32 @@ def _flux_angle(spec: ProtocolSpec, t: float) -> float:
 # revival search
 
 
+# (spec, dt_factor, time s, values) of the latest split-step revival
+# search's pre-window checkpoint, for the walk that follows the search
+# (see `_walk`): `find_revival_time` returns only the time.  It holds one
+# state, never the window's checkpoints.
+_search_checkpoint = None
+
+
 def _splitstep_objective(spec: ProtocolSpec):
     """Checkpointed split-step fidelity for repeated revival queries.
 
     Every queried time becomes a checkpoint, so a golden-section search that
     keeps narrowing its bracket only ever propagates the short gap from the
-    nearest earlier checkpoint instead of restarting from release.
+    nearest earlier checkpoint instead of restarting from release.  The
+    first checkpoint after release lies at half the window's lower edge,
+    before the default imprint time T*/2 of every T* in the window, and is
+    kept in `_search_checkpoint` for the walk that follows the search.
     """
+    global _search_checkpoint
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g)
     times, states = [0.0], [driver.values]
+    t_pre = 0.5 * spec.search_window[0] * revival_time(spec.trap)
+    driver.advance(0.0, t_pre)
+    times.append(t_pre)
+    states.append(driver.values)
+    _search_checkpoint = (spec, driver.dt_factor, t_pre, driver.values)
 
     def objective(t: float) -> float:
         i = bisect_right(times, t) - 1
@@ -501,12 +519,17 @@ def _measure(values: np.ndarray, spec: ProtocolSpec, psi0: SpectralState,
 
 
 def _walk(runs, sampled: bool = False):
-    """Step `runs` as one batch from release to the last readout.
+    """Step `runs` as one batch to the last readout.
 
     The runs share every field of `runs[0]` except the imprint phase and
     the timing offset; the revival time is resolved once, from `runs[0]`.
-    Each run is imprinted at its pulse start and read out at its readout
-    time; at one instant the imprints act first.  `sampled` adds the
+    The shared state starts at the search's pre-window checkpoint when the
+    search ran, that checkpoint comes no later than the first event, and
+    the search stepped at this batch's dt_factor; otherwise at release.  A
+    resumed run differs from one walked from release by the re-tiling of
+    its steps at the checkpoint, the O(dt^2) step error.  Each run is
+    imprinted at its pulse start and read out at its readout time; at one
+    instant the imprints act first.  `sampled` adds the
     `n_records` records and `n_snapshots` snapshots of `runs[0]`, evenly
     from release to its readout, for a single run.  Returns (revival time,
     dt_factor, events): events are (t, kind, index, measured) in time
@@ -515,8 +538,10 @@ def _walk(runs, sampled: bool = False):
     """
     spec = runs[0]
     t_star = spec.revival_time_s
+    checkpoint = None
     if t_star is None:
         t_star = find_revival_time(spec)
+        checkpoint = _search_checkpoint
     schedule = [_schedule(run, t_star) for run in runs]
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g,
@@ -530,8 +555,14 @@ def _walk(runs, sampled: bool = False):
                             ("snapshot", spec.n_snapshots)):
             events += [(t, kind, i) for i, t in
                        enumerate(np.linspace(0.0, schedule[0][1], count))]
+    events.sort(key=lambda e: (e[0], e[1] != "imprint"))
     measured, now = [], 0.0
-    for t, kind, i in sorted(events, key=lambda e: (e[0], e[1] != "imprint")):
+    if checkpoint is not None and checkpoint[0] is spec:
+        _, dt_factor, t_pre, values = checkpoint
+        if dt_factor == driver.dt_factor and t_pre <= events[0][0]:
+            # a copy: an instant imprint at t_pre multiplies one row in place
+            driver.values, now = values.copy(), t_pre
+    for t, kind, i in events:
         if t > now:
             driver.advance(now, t)
             now = t
@@ -602,14 +633,16 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
 
     The revival time is resolved once and shared by every run, matching an
     experiment that calibrates timing before scanning the signal phase.
-    The runs share their walk from release to the imprint and then step as
-    one batch, one row per phase, taking no records or snapshots whatever
-    `spec.n_records` and `spec.n_snapshots` say.  Each row equals
-    `run_protocol` of its phase to rounding: bitwise with a mean-field
-    coupling, since every row then takes the same steps.  The one exception
-    is a finite pulse with `dt_factor` unset: the batch derives its step
-    from its largest pulse rate, so a row moves from its own run by the
-    O(dt^2) step error.  Rows keep the order of `phases`.
+    The runs share their walk to the imprint, from the revival search's
+    pre-window checkpoint when the search ran (see `_walk`), and then step
+    as one batch, one row per phase, taking no records or snapshots
+    whatever `spec.n_records` and `spec.n_snapshots` say.  Each row equals
+    the record-free `run_protocol` of its phase to rounding: bitwise with a
+    mean-field coupling, since every row then takes the same steps.  A row
+    moves from its own run by the O(dt^2) step error where the two start
+    differently (a run with records starts at release) or step differently
+    (a finite pulse with `dt_factor` unset: the batch derives its step from
+    its largest pulse rate).  Rows keep the order of `phases`.
     """
     phases, measured = _scan(spec, phases, "phases", lambda base, p: replace(
         base, imprint=replace(base.imprint, phase=p)))
@@ -622,11 +655,13 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     Rows are (offset s, revival fidelity, imbalance) in the order of
     `offsets`; the zero-offset revival time is resolved once and reused, so
     the scan isolates pure timing error from retiming.  The runs share their
-    walk from release to the earliest imprint and then step as one batch,
-    each imprinted and read out at its own time, taking no records or
-    snapshots whatever `spec.n_records` and `spec.n_snapshots` say.  No row
-    leaves the batch at its readout: every row steps on until the latest
-    one, so the scan takes extra steps over the spread of `offsets`.  Every
+    walk to the earliest imprint, from the revival search's pre-window
+    checkpoint when the search ran and no offset puts an imprint before it
+    (see `_walk`), and then step as one batch, each imprinted and read out
+    at its own time, taking no records or snapshots whatever
+    `spec.n_records` and `spec.n_snapshots` say.  No row leaves the batch
+    at its readout: every row steps on until the latest one, so the scan
+    takes extra steps over the spread of `offsets`.  Every
     row's interval is cut at every other row's instants, so where Strang
     steps are taken (a coupling or a pulse) a row differs from its own
     `run_protocol` by the O(dt^2) step error, not by rounding only.

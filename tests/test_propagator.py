@@ -167,6 +167,49 @@ def test_a_batch_steps_like_its_rows_stepped_alone(coupled_engine):
         assert np.max(np.abs(out - alone)) < 1e-12
 
 
+def _reference_propagate(engine, values, duration, dt, potential, flux_on):
+    # the fused Strang loop as it was written before it ran in place
+    n = max(1, int(round(duration / dt)))
+    h = duration / n
+    kinetic = engine.kinetic_phase(h, flux_on)
+
+    def local_term(vals):
+        local = engine.coupling * np.abs(vals) ** 2
+        return local if potential is None else local + potential
+
+    values = values * np.exp(-0.5j * h * local_term(values))
+    for _ in range(n - 1):
+        values = np.fft.ifft(kinetic * np.fft.fft(values))
+        values *= np.exp(-1j * h * local_term(values))
+    values = np.fft.ifft(kinetic * np.fft.fft(values))
+    return values * np.exp(-0.5j * h * local_term(values))
+
+
+@pytest.mark.parametrize("flux_on", [True, False], ids=["flux", "no-flux"])
+@pytest.mark.parametrize("with_potential", [False, True],
+                         ids=["free", "potential"])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_in_place_steps_are_bitwise_the_reference_loop(
+        coupled_engine, n, rows, with_potential, flux_on):
+    engine, values = coupled_engine
+    if rows > 1:
+        values = np.array([values * np.exp(1j * k * np.cos(engine.angles))
+                           for k in range(rows)])
+    potential = None
+    if with_potential:
+        # one row per state: a different potential on each row
+        scales = np.linspace(30.0, -40.0, rows)[:, None]
+        potential = (scales * np.cos(engine.angles)).reshape(values.shape)
+    h = 2e-5 * 2.0 * math.pi
+    before = values.copy()
+    fused = engine.propagate(values, n * h, h, potential, flux_on)
+    np.testing.assert_array_equal(values, before)
+    np.testing.assert_array_equal(
+        fused, _reference_propagate(engine, values, n * h, h, potential,
+                                    flux_on))
+
+
 def test_split_step_is_second_order(trap):
     # Richardson check: each run is compared against its own quarter-step
     # reference, so halving the step must shrink the error fourfold.

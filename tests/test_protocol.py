@@ -593,3 +593,97 @@ def test_unset_step_sweeps_a_pulse_an_explicit_step_cannot(trap, revival_s):
         rs.sweep_phase(dataclasses.replace(spec, dt_factor=2e-5), phases)
     table = rs.sweep_phase(spec, phases)
     assert np.all(np.isfinite(table))
+
+
+# --------------------------------------------------------------------------
+# a walk resumes from the revival search's pre-window checkpoint
+
+def _searched_coupled(trap, **kw):
+    # as `_coupled_spec`, with the revival time left to the search
+    kw.setdefault("dt_factor", 1e-4)
+    kw.setdefault("imprint", rs.ImprintSpec(1.0))
+    kw.setdefault("interaction", rs.InteractionSpec(
+        scattering_length=rs.BOHR_RADIUS, atom_number=5e3))
+    return rs.ProtocolSpec(trap=trap, solver="splitstep", cutoff=100,
+                           grid_n=256, **kw)
+
+
+def test_a_resumed_walk_is_within_step_error_of_a_walk_from_release(trap):
+    # the pinned spec has no search, so it walks from release in one
+    # interval where the resumed walk cuts it at 0.49 T: the re-tiling moves
+    # the readout by the O(dt^2) step error (at this step 2.6e-8 in
+    # fidelity, 1.5e-9 in imbalance)
+    spec = _searched_coupled(trap)
+    resumed = rs.run_protocol(spec)
+    pinned = dataclasses.replace(spec, revival_time_s=resumed.revival_time_s)
+    cold = rs.run_protocol(pinned)
+    assert resumed.revival_fidelity != cold.revival_fidelity
+    assert abs(resumed.revival_fidelity - cold.revival_fidelity) < 1e-6
+    assert abs(resumed.imbalance - cold.imbalance) < 1e-7
+    phases = [0.0, 1.0, math.pi]
+    swept = rs.sweep_phase(spec, phases)
+    np.testing.assert_allclose(swept, rs.sweep_phase(pinned, phases),
+                               rtol=0, atol=1e-7)
+    # a sweep row is bitwise the record-free run of its phase, which
+    # resumes from the same checkpoint
+    assert swept[1, 1] == resumed.imbalance
+
+
+@pytest.mark.parametrize("case", ["records", "pulse-derived-step",
+                                  "imprint-before-checkpoint"])
+def test_walks_that_cannot_resume_are_bitwise_their_pinned_walks(trap,
+                                                                 case):
+    # records start at release; a pulse with an unset step steps finer
+    # than the search; an early imprint comes before the checkpoint.  The
+    # pulsed case has no coupling, so outside the pulse both walks take
+    # exact kinetic steps, which a cut at the checkpoint changes by rounding
+    if case == "records":
+        spec = _searched_coupled(trap, n_records=20, n_snapshots=3)
+        table = None
+    elif case == "pulse-derived-step":
+        spec = _searched_coupled(trap, imprint=_PULSE, dt_factor=None,
+                                 interaction=None)
+        table = (rs.sweep_phase, [0.0, math.pi / 3])
+    else:
+        spec = _searched_coupled(trap)
+        revival = rs.revival_time(trap)
+        table = (rs.timing_sensitivity, [0.0, -0.02 * revival])
+    t_star = rs.find_revival_time(spec)
+    pinned = dataclasses.replace(spec, revival_time_s=t_star)
+    if table is None:
+        searched, cold = rs.run_protocol(spec), rs.run_protocol(pinned)
+        assert searched.revival_time_s == t_star
+        for name in ("revival_fidelity", "imbalance", "centroid_angle",
+                     "records", "snapshot_times"):
+            np.testing.assert_array_equal(getattr(searched, name),
+                                          getattr(cold, name))
+        for a, b in zip(searched.snapshots, cold.snapshots):
+            np.testing.assert_array_equal(a.density, b.density)
+    else:
+        scan, values = table
+        np.testing.assert_array_equal(scan(spec, values),
+                                      scan(pinned, values))
+
+
+def test_an_imprint_at_the_checkpoint_instant_leaves_the_checkpoint_intact(
+        trap, monkeypatch):
+    # a caller that reuses the found revival time resumes twice from one
+    # checkpoint; the instant imprint, at exactly the checkpoint's time,
+    # multiplies the resumed state in place
+    t_check = 0.5 * 0.98 * rs.revival_time(trap)
+    spec = _searched_coupled(trap, imprint=rs.ImprintSpec(
+        1.0, application_time=t_check))
+    found = {}
+    search = rs.protocol.find_revival_time
+
+    def search_once(s):
+        if s not in found:
+            found[s] = search(s)
+        return found[s]
+
+    monkeypatch.setattr(rs.protocol, "find_revival_time", search_once)
+    first = rs.run_protocol(spec)
+    second = rs.run_protocol(spec)
+    assert first.revival_time_s == second.revival_time_s
+    assert first.imbalance == second.imbalance
+    assert first.revival_fidelity == second.revival_fidelity

@@ -1,0 +1,64 @@
+"""Time one split-step step of the reference scenario's engine.
+
+    python3 tools/step_cost.py [--steps 10000] [--repeats 5]
+
+Builds the protocol driver of the built-in reference scenario (2e4 K-39
+atoms at 1 a0, `grid_n` 512, the derived step), then times
+`_SplitStepEngine.propagate` over `--steps` coupled steps for batches of
+1, 7 and 13 rows (the shared prefix, the `sweep_splitstep` batch and a
+13-phase sweep).  Prints the best of `--repeats` timings per batch, in
+microseconds per step and per state-step.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from ringsim.config import build_protocol, from_defaults  # noqa: E402
+from ringsim.protocol import _prepare, _SplitStepDriver  # noqa: E402
+
+ROWS = (1, 7, 13)
+
+
+def step_costs(steps: int, repeats: int) -> dict:
+    """Best-of-`repeats` seconds per step of `propagate`, per batch size."""
+    spec = build_protocol(from_defaults())
+    driver = _SplitStepDriver(spec, _prepare(spec)[1])
+    engine, dt = driver.engine, driver.dt_int
+    costs = {}
+    for rows in ROWS:
+        values = np.repeat(driver.values, rows, axis=0)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            engine.propagate(values, steps * dt, dt)
+            best = min(best, time.perf_counter() - start)
+        costs[rows] = best / steps
+    return costs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--steps", type=int, default=10000)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.steps < 1 or args.repeats < 1:
+        parser.error("--steps and --repeats must be >= 1")
+    print("numpy %s, %d cores, %d steps, best of %d"
+          % (np.__version__, os.cpu_count(), args.steps, args.repeats))
+    print("rows  us/step  us/state-step")
+    for rows, cost in step_costs(args.steps, args.repeats).items():
+        print("%4d  %7.1f  %13.1f" % (rows, 1e6 * cost, 1e6 * cost / rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
