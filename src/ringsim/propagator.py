@@ -148,9 +148,10 @@ class _SplitStepEngine:
 
     with E the (possibly corrected) dispersion evaluated on the full FFT
     harmonic ladder and V an arbitrary time-dependent angular potential.
-    One `step` is local half / kinetic full / local half; the kinetic phase
-    also carries the gauge-flux term linear in ell.  With no coupling and no
-    potential `propagate` takes one exact kinetic step instead.
+    One Strang step of `propagate` is local half / kinetic full / local
+    half; the kinetic phase also carries the gauge-flux term linear in ell.
+    With no coupling and no potential `propagate` takes one exact kinetic
+    step instead.
 
     Values may be one state of shape (grid_n,) or a batch of shape
     (rows, grid_n), one state per row; the FFTs run along the last axis and
@@ -205,26 +206,6 @@ class _SplitStepEngine:
                 "leave it unset (auto) to derive the step from the coupling "
                 "and the pulse" % (peak, LOCAL_PHASE_LIMIT))
 
-    def step(self, values: np.ndarray, dt: float, potential=None,
-             flux_on: bool = True) -> np.ndarray:
-        """One Strang step of size dt (internal units) in place of real time.
-
-        `potential` is the dimensionless angular potential sampled on the
-        grid (or None); `flux_on` False drops the flux term, as before a
-        delayed turn-on.  Raises StepSizeError when the local phase advance
-        |V + g n| dt of this step exceeds the trust limit.
-        """
-        local = self._local_term(values, potential)
-        self._check_step(local, dt)
-        half = np.exp(-0.5j * dt * local)
-        values = values * half
-        values = np.fft.ifft(self.kinetic_phase(dt, flux_on) *
-                             np.fft.fft(values))
-        # recompute the density for the second half step
-        local = self._local_term(values, potential)
-        values = values * np.exp(-0.5j * dt * local)
-        return values
-
     def propagate(self, values: np.ndarray, duration: float, dt: float,
                   potential=None, flux_on: bool = True) -> np.ndarray:
         """Step across `duration` (internal units) in equal Strang steps.
@@ -232,10 +213,14 @@ class _SplitStepEngine:
         The step count is round(duration / dt), at least one, so the steps
         tile the interval exactly; a non-positive duration is a no-op.  The
         local half-steps keep the density, so the closing half of one step
-        and the opening half of the next fuse into one full local step, and
-        the step guard of `step` runs on the density already in hand.  With
-        no coupling and no potential the local half-steps are the identity,
-        so one kinetic step over the whole interval is exact.
+        and the opening half of the next fuse into one full local step.
+        `potential` is the dimensionless angular potential sampled on the
+        grid (or None); `flux_on` False drops the flux term, as before a
+        delayed turn-on.  The step guard raises StepSizeError when the local
+        phase advance |V + g n| h of a step, taken on the density already in
+        hand, exceeds the trust limit.  With no coupling and no potential
+        the local half-steps are the identity, so one kinetic step over the
+        whole interval is exact.
         """
         if duration <= 0:
             return values
@@ -255,7 +240,8 @@ class _SplitStepEngine:
         local = np.empty(values.shape)
         for _ in range(n - 1):
             # kinetic * spectrum, not spectrum * kinetic: numpy's complex
-            # product is not bitwise commutative, and step() takes this order
+            # product is not bitwise commutative, and the closing step below
+            # takes this order
             np.fft.fft(values, out=spectrum)
             np.multiply(kinetic, spectrum, out=spectrum)
             np.fft.ifft(spectrum, out=values)
@@ -311,6 +297,8 @@ def step_nonlinear(state: GridState, dt: float, model: DispersionModel,
     angular potential in J sampled on the state's grid.  A flux passed here
     is treated as always on (no turn_on bookkeeping at single-step level).
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise InvalidParameterError("dt must be positive and finite")
     engine = _SplitStepEngine(model, state.size, interaction, flux)
     pot_int = None
     if potential is not None:
@@ -318,7 +306,7 @@ def step_nonlinear(state: GridState, dt: float, model: DispersionModel,
         if pot_int.shape != (state.size,):
             raise InvalidParameterError("potential must match the grid size")
     dt_int = dt / model.trap.time_unit
-    return GridState(engine.step(state.values.copy(), dt_int, pot_int))
+    return GridState(engine.propagate(state.values, dt_int, dt_int, pot_int))
 
 
 def _wrapped_angle(angles: np.ndarray, center: float) -> np.ndarray:

@@ -26,10 +26,12 @@ protocol driver, `_SplitStepDriver`, which every run uses whatever its solver.
 A run and a scan (`sweep_phase`, `timing_sensitivity`) are one walk of that
 driver: the runs share a single state to the first imprint, then step as
 one batch with one fixed row per scanned value until the last readout, each
-read out at its own time.  After a split-step revival search the shared
-state starts from the search's checkpoint at half the window's lower edge
-rather than from release, where the walk allows it (see `_walk`).  Scans
-measure only the readout; they take no records and no snapshots.
+read out at its own time.  A split-step revival search keeps checkpoints
+from release to half the window's lower edge; the walk that follows it
+resumes from the latest one no later than its first imprint, and measures
+each earlier record or snapshot from the nearest earlier checkpoint, where
+its step allows it (see `_walk`).  Scans measure only the readout; they take
+no records and no snapshots.
 """
 
 from __future__ import annotations
@@ -309,32 +311,64 @@ def _flux_angle(spec: ProtocolSpec, t: float) -> float:
 # revival search
 
 
-# (spec, dt_factor, time s, values) of the latest split-step revival
-# search's pre-window checkpoint, for the walk that follows the search
-# (see `_walk`): `find_revival_time` returns only the time.  It holds one
-# state, never the window's checkpoints.
-_search_checkpoint = None
+# The search cuts its imprint-free advance from release to half the window's
+# lower edge into this many segments of whole steps and keeps the state at
+# each segment end, for the walk that follows the search (see `_walk`).
+SEARCH_CHECKPOINTS = 200
+
+
+@dataclass(frozen=True, eq=False)
+class _SearchCheckpoints:
+    """The latest split-step revival search's states from release on.
+
+    `times` (s) are release and the SEARCH_CHECKPOINTS segment ends up to
+    half the window's lower edge, each a whole number of the search's steps
+    of `dt_factor`; `states` are the read-only single-row values at those
+    times.  `spec` is the searched spec object, the key a walk matches by
+    identity: `find_revival_time` returns only the time.
+    """
+
+    spec: ProtocolSpec
+    dt_factor: float
+    times: tuple
+    states: tuple
+
+    def before(self, t: float):
+        """(time, values) of the latest checkpoint no later than t."""
+        i = bisect_right(self.times, t) - 1
+        return self.times[i], self.states[i]
+
+
+_search_checkpoints = None
 
 
 def _splitstep_objective(spec: ProtocolSpec):
     """Checkpointed split-step fidelity for repeated revival queries.
 
-    Every queried time becomes a checkpoint, so a golden-section search that
-    keeps narrowing its bracket only ever propagates the short gap from the
-    nearest earlier checkpoint instead of restarting from release.  The
-    first checkpoint after release lies at half the window's lower edge,
-    before the default imprint time T*/2 of every T* in the window, and is
-    kept in `_search_checkpoint` for the walk that follows the search.
+    The advance from release to half the window's lower edge, before the
+    default imprint time T*/2 of every T* in the window, is cut into
+    SEARCH_CHECKPOINTS segments: of its n steps, segment k ends at step
+    round(k n / SEARCH_CHECKPOINTS).  Those states are kept in
+    `_search_checkpoints` for the walk that follows the search.  Every
+    queried time then becomes a checkpoint too, so a golden-section search
+    that keeps narrowing its bracket only ever propagates the short gap
+    from the nearest earlier checkpoint instead of restarting from release.
     """
-    global _search_checkpoint
+    global _search_checkpoints
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g)
-    times, states = [0.0], [driver.values]
     t_pre = 0.5 * spec.search_window[0] * revival_time(spec.trap)
-    driver.advance(0.0, t_pre)
-    times.append(t_pre)
-    states.append(driver.values)
-    _search_checkpoint = (spec, driver.dt_factor, t_pre, driver.values)
+    n = max(1, round(t_pre / driver.time_unit / driver.dt_int))
+    times, states = [0.0], [driver.values]
+    for k in range(1, SEARCH_CHECKPOINTS + 1):
+        t = t_pre * (round(k * n / SEARCH_CHECKPOINTS) / n)
+        driver.advance(times[-1], t)
+        times.append(t)
+        states.append(driver.values)
+    for values in states:
+        values.flags.writeable = False
+    _search_checkpoints = _SearchCheckpoints(spec, driver.dt_factor,
+                                             tuple(times), tuple(states))
 
     def objective(t: float) -> float:
         i = bisect_right(times, t) - 1
@@ -523,13 +557,15 @@ def _walk(runs, sampled: bool = False):
 
     The runs share every field of `runs[0]` except the imprint phase and
     the timing offset; the revival time is resolved once, from `runs[0]`.
-    The shared state starts at the search's pre-window checkpoint when the
-    search ran, that checkpoint comes no later than the first event, and
-    the search stepped at this batch's dt_factor; otherwise at release.  A
-    resumed run differs from one walked from release by the re-tiling of
-    its steps at the checkpoint, the O(dt^2) step error.  Each run is
-    imprinted at its pulse start and read out at its readout time; at one
-    instant the imprints act first.  `sampled` adds the
+    When the walk searched for it and steps at the search's dt_factor, it
+    resumes from the search's latest checkpoint no later than the first
+    imprint or readout (see `_splitstep_objective`); otherwise it walks
+    from release.  A record or snapshot before that checkpoint is measured
+    by stepping the nearest earlier checkpoint to its own time.  A resumed
+    or replayed state differs from one walked from release by the
+    re-tiling of its steps at the checkpoint, the O(dt^2) step error.  Each
+    run is imprinted at its pulse start and read out at its readout time;
+    at one instant the imprints act first.  `sampled` adds the
     `n_records` records and `n_snapshots` snapshots of `runs[0]`, evenly
     from release to its readout, for a single run.  Returns (revival time,
     dt_factor, events): events are (t, kind, index, measured) in time
@@ -538,10 +574,10 @@ def _walk(runs, sampled: bool = False):
     """
     spec = runs[0]
     t_star = spec.revival_time_s
-    checkpoint = None
+    store = None
     if t_star is None:
         t_star = find_revival_time(spec)
-        checkpoint = _search_checkpoint
+        store = _search_checkpoints
     schedule = [_schedule(run, t_star) for run in runs]
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g,
@@ -556,13 +592,20 @@ def _walk(runs, sampled: bool = False):
             events += [(t, kind, i) for i, t in
                        enumerate(np.linspace(0.0, schedule[0][1], count))]
     events.sort(key=lambda e: (e[0], e[1] != "imprint"))
-    measured, now = [], 0.0
-    if checkpoint is not None and checkpoint[0] is spec:
-        _, dt_factor, t_pre, values = checkpoint
-        if dt_factor == driver.dt_factor and t_pre <= events[0][0]:
-            # a copy: an instant imprint at t_pre multiplies one row in place
-            driver.values, now = values.copy(), t_pre
+    measured, now, resume = [], 0.0, None
+    if (store is not None and store.spec is spec
+            and store.dt_factor == driver.dt_factor):
+        resume = store.before(next(t for t, kind, _ in events
+                                   if kind in ("imprint", "readout")))
     for t, kind, i in events:
+        if resume is not None and t < resume[0]:
+            # a record or snapshot before the resume point
+            now, driver.values = store.before(t)
+        elif resume is not None:
+            # a copy: the stored states are read-only, and an instant
+            # imprint multiplies one row in place
+            now, driver.values = resume[0], resume[1].copy()
+            resume = None
         if t > now:
             driver.advance(now, t)
             now = t
@@ -634,14 +677,14 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
     The revival time is resolved once and shared by every run, matching an
     experiment that calibrates timing before scanning the signal phase.
     The runs share their walk to the imprint, from the revival search's
-    pre-window checkpoint when the search ran (see `_walk`), and then step
-    as one batch, one row per phase, taking no records or snapshots
+    latest checkpoint before it when the search ran (see `_walk`), and then
+    step as one batch, one row per phase, taking no records or snapshots
     whatever `spec.n_records` and `spec.n_snapshots` say.  Each row equals
     the record-free `run_protocol` of its phase to rounding: bitwise with a
     mean-field coupling, since every row then takes the same steps.  A row
-    moves from its own run by the O(dt^2) step error where the two start
-    differently (a run with records starts at release) or step differently
-    (a finite pulse with `dt_factor` unset: the batch derives its step from
+    moves from its own run by the O(dt^2) step error where the two step
+    differently (a run with records cuts its steps at the record times; a
+    finite pulse with `dt_factor` unset: the batch derives its step from
     its largest pulse rate).  Rows keep the order of `phases`.
     """
     phases, measured = _scan(spec, phases, "phases", lambda base, p: replace(
@@ -655,9 +698,9 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     Rows are (offset s, revival fidelity, imbalance) in the order of
     `offsets`; the zero-offset revival time is resolved once and reused, so
     the scan isolates pure timing error from retiming.  The runs share their
-    walk to the earliest imprint, from the revival search's pre-window
-    checkpoint when the search ran and no offset puts an imprint before it
-    (see `_walk`), and then step as one batch, each imprinted and read out
+    walk to the earliest imprint, from the revival search's latest
+    checkpoint before it when the search ran (see `_walk`), and then step
+    as one batch, each imprinted and read out
     at its own time, taking no records or snapshots whatever
     `spec.n_records` and `spec.n_snapshots` say.  No row leaves the batch
     at its readout: every row steps on until the latest one, so the scan

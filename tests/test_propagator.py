@@ -139,6 +139,18 @@ def coupled_engine(trap):
     return engine, values
 
 
+def _strang_step(engine, values, h, potential, flux_on):
+    # one explicit local half / kinetic full / local half step
+    def local_term(vals):
+        local = engine.coupling * np.abs(vals) ** 2
+        return local if potential is None else local + potential
+
+    values = values * np.exp(-0.5j * h * local_term(values))
+    values = np.fft.ifft(engine.kinetic_phase(h, flux_on) *
+                         np.fft.fft(values))
+    return values * np.exp(-0.5j * h * local_term(values))
+
+
 @pytest.mark.parametrize("flux_on", [True, False], ids=["flux", "no-flux"])
 @pytest.mark.parametrize("with_potential", [False, True],
                          ids=["free", "potential"])
@@ -150,7 +162,7 @@ def test_fused_steps_equal_explicit_strang_steps(coupled_engine, n,
     h = 2e-5 * 2.0 * math.pi
     stepped = values
     for _ in range(n):
-        stepped = engine.step(stepped, h, potential, flux_on)
+        stepped = _strang_step(engine, stepped, h, potential, flux_on)
     fused = engine.propagate(values, n * h, h, potential, flux_on)
     assert np.max(np.abs(fused - stepped)) < 1e-12
 
@@ -249,6 +261,34 @@ def test_oversized_step_rejected(trap):
     grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
     with pytest.raises(rs.StepSizeError):
         rs.step_nonlinear(grid, 5e-3, model, interaction=inter)
+
+
+@pytest.mark.parametrize("with_potential", [False, True],
+                         ids=["free", "potential"])
+def test_single_step_is_one_explicit_strang_step(trap, with_potential):
+    model = rs.ideal_dispersion(trap, 40)
+    inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
+                               atom_number=2e4)
+    flux = rs.FluxSpec(action=0.37 * rs.HBAR)
+    grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
+    engine = _SplitStepEngine(model, 128, inter, flux)
+    potential = None
+    if with_potential:
+        potential = 1e-33 * np.cos(engine.angles)
+    dt = 2e-7
+    stepped = rs.step_nonlinear(grid, dt, model, inter, flux, potential)
+    explicit = _strang_step(
+        engine, grid.values, dt / trap.time_unit,
+        None if potential is None else potential / trap.energy_unit, True)
+    np.testing.assert_array_equal(stepped.values, explicit)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-7, math.nan])
+def test_single_step_refuses_a_step_that_is_not_positive(trap, dt):
+    model = rs.ideal_dispersion(trap, 40)
+    grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
+    with pytest.raises(rs.InvalidParameterError):
+        rs.step_nonlinear(grid, dt, model)
 
 
 def test_potential_shape_validated(trap):

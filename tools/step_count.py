@@ -1,0 +1,132 @@
+"""Count the split-step row-steps of one `ringsim revival` run, per phase.
+
+    python3 tools/step_count.py [--config PATH]
+
+Runs `ringsim revival` on PATH, or on the built-in reference scenario
+without `--config`, writing its CSV into a temporary directory.  Every
+`_SplitStepEngine.propagate` call is wrapped from outside the package and
+counted in row-steps: rows times round(duration / dt), at least one, for
+Strang steps, and rows for one exact kinetic step.  Each call is charged
+to one phase:
+
+    search prefix   the search's advance from release to half its window's
+                    lower edge, which it keeps as checkpoints
+    search window   the search's fidelity queries, from those checkpoints on
+    record replay   a record or snapshot stepped from a stored checkpoint
+    walk            the run itself, from release or its resume checkpoint
+
+A replay starts from a stored checkpoint, which is read-only; a replay cut
+at the flux turn-on continues from the output of its first call.  Prints
+one table of calls and row-steps per phase.  Exits with the CLI's code,
+and prints the CLI's output to stderr when that is not 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from ringsim import cli, protocol  # noqa: E402
+from ringsim.propagator import _SplitStepEngine  # noqa: E402
+
+PHASES = ("search prefix", "search window", "record replay", "walk")
+
+
+class StepCounter:
+    """Wraps `propagate` and the search objective; counts per phase."""
+
+    def __init__(self):
+        self.steps = dict.fromkeys(PHASES, 0)
+        self.calls = dict.fromkeys(PHASES, 0)
+        self._search = None
+        self._last = None
+
+    def _phase(self, values) -> str:
+        if self._search is not None:
+            return self._search
+        last_out, last_phase = self._last or (None, None)
+        replay = not values.flags.writeable or (
+            values is last_out and last_phase == "record replay")
+        return "record replay" if replay else "walk"
+
+    def _propagate(self, original):
+        def propagate(engine, values, duration, dt, potential=None,
+                      flux_on=True):
+            phase = self._phase(values)
+            out = original(engine, values, duration, dt, potential, flux_on)
+            rows = values.shape[0] if values.ndim == 2 else 1
+            if duration <= 0:
+                steps = 0
+            elif engine.coupling == 0.0 and potential is None:
+                steps = 1
+            else:
+                steps = max(1, int(round(duration / dt)))
+            self.steps[phase] += rows * steps
+            self.calls[phase] += 1
+            self._last = (out, phase)
+            return out
+        return propagate
+
+    def _in_phase(self, phase, fn):
+        def wrapped(*args):
+            outer, self._search = self._search, phase
+            try:
+                return fn(*args)
+            finally:
+                self._search = outer
+        return wrapped
+
+    def _objective(self, original):
+        def splitstep_objective(spec):
+            objective = self._in_phase("search prefix", original)(spec)
+            return self._in_phase("search window", objective)
+        return splitstep_objective
+
+    @contextlib.contextmanager
+    def installed(self):
+        propagate = _SplitStepEngine.propagate
+        objective = protocol._splitstep_objective
+        _SplitStepEngine.propagate = self._propagate(propagate)
+        protocol._splitstep_objective = self._objective(objective)
+        try:
+            yield self
+        finally:
+            _SplitStepEngine.propagate = propagate
+            protocol._splitstep_objective = objective
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--config", metavar="PATH", default=None,
+                        help="key = value config file (default: built-in "
+                             "reference scenario)")
+    args = parser.parse_args(argv)
+    counter = StepCounter()
+    log = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, counter.installed(), \
+            contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+        argv = ["revival", "--out", out]
+        if args.config is not None:
+            argv += ["--config", args.config]
+        code = cli.main(argv)
+    if code != 0:
+        sys.stderr.write(log.getvalue())
+        return code
+    print("phase           calls  row-steps")
+    for phase in PHASES:
+        print("%-14s %6d %10d" % (phase, counter.calls[phase],
+                                  counter.steps[phase]))
+    print("%-14s %6d %10d" % ("total", sum(counter.calls.values()),
+                              sum(counter.steps.values())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
