@@ -7,15 +7,13 @@ accumulated gauge-flux angle; a constant flux rotates every revival by
 (flux action)/hbar per ideal period.
 
 The protocol drives one engine on the angular grid, with the dispersion
-evaluated on the full grid ladder.  An interval with a mean-field coupling
-or a potential takes Strang-split FFT steps, the density and potential
-acting in the local halves.  Without either the local halves are the
-identity, so the engine applies the kinetic phase once, exactly, over the
-whole interval.
-
-Imaginary-time propagation of the same engine relaxes to the mean-field
-ground state in an angular well, which is how the interference protocol
-prepares its initial packet.
+evaluated on the full grid ladder.  Its real-time loop takes Strang-split
+FFT steps where a mean-field coupling or a potential acts, and one exact
+kinetic step across an interval with neither; its imaginary-time loop
+relaxes to the mean-field ground state in an angular well, which is how
+the interference protocol prepares its initial packet.  Both loops step in
+place through one local-term routine, and the engine keeps the last
+real-time kinetic factor for the next interval of equal step.
 """
 
 from __future__ import annotations
@@ -148,10 +146,14 @@ class _SplitStepEngine:
 
     with E the (possibly corrected) dispersion evaluated on the full FFT
     harmonic ladder and V an arbitrary time-dependent angular potential.
-    One Strang step of `propagate` is local half / kinetic full / local
-    half; the kinetic phase also carries the gauge-flux term linear in ell.
-    With no coupling and no potential `propagate` takes one exact kinetic
-    step instead.
+    Two loops step a copy of the caller's values in place, each step local
+    half / kinetic full / local half with the local term V + g |psi|^2 from
+    `_local_into`: `propagate` in real time, where the kinetic phase also
+    carries the gauge-flux term linear in ell, and `relax` in imaginary
+    time, which builds its real kinetic factor once per call.
+    `kinetic_phase` keeps the last real-time factor in one slot, asked for
+    once per `propagate` interval: it hits on consecutive intervals of equal
+    step, most often the exact kinetic steps between equally spaced records.
 
     Values may be one state of shape (grid_n,) or a batch of shape
     (rows, grid_n), one state per row; the FFTs run along the last axis and
@@ -174,27 +176,22 @@ class _SplitStepEngine:
         # kinetic frequencies with the flux on
         rate = flux.angle_per_revival() / TWO_PI if flux is not None else 0.0
         self.flux_energies = self.energies + rate * self.harmonics
-        self._kin_key = None
-        self._kin_factor = None
-
-    def _kinetic(self, key, factor) -> np.ndarray:
-        # one slot: `propagate` builds its factor once per interval, so the
-        # hits come from relaxation steps and from consecutive intervals of
-        # equal length (exact kinetic steps of a scan, or equal sub-steps)
-        if key != self._kin_key:
-            self._kin_key = key
-            self._kin_factor = factor()
-        return self._kin_factor
+        self._kin = (None, None)    # one slot: (dt, flux_on), factor
 
     def kinetic_phase(self, dt: float, flux_on: bool = True) -> np.ndarray:
-        w = self.flux_energies if flux_on else self.energies
-        return self._kinetic((dt, flux_on), lambda: np.exp(-1j * w * dt))
+        if self._kin[0] != (dt, flux_on):
+            w = self.flux_energies if flux_on else self.energies
+            self._kin = ((dt, flux_on), np.exp(-1j * w * dt))
+        return self._kin[1]
 
-    def _local_term(self, values: np.ndarray, potential) -> np.ndarray:
-        local = self.coupling * np.abs(values) ** 2
+    def _local_into(self, values: np.ndarray, potential,
+                    out: np.ndarray) -> None:
+        # V + g |values|^2 into the real buffer `out`
+        np.abs(values, out=out)
+        out *= out
+        out *= self.coupling
         if potential is not None:
-            local = local + potential
-        return local
+            out += potential
 
     @staticmethod
     def _check_step(local: np.ndarray, dt: float) -> None:
@@ -230,48 +227,54 @@ class _SplitStepEngine:
         n = max(1, int(round(duration / dt)))
         h = duration / n
         kinetic = self.kinetic_phase(h, flux_on)
-        local = self._local_term(values, potential)
-        self._check_step(local, h)
-        # a fresh array, so the loop below may work in place without
-        # touching the caller's values
-        values = values * np.exp(-0.5j * h * local)
+        values = values.copy()
         spectrum = np.empty_like(values)
         phase = np.empty_like(values)
         local = np.empty(values.shape)
-        for _ in range(n - 1):
-            # kinetic * spectrum, not spectrum * kinetic: numpy's complex
-            # product is not bitwise commutative, and the closing step below
-            # takes this order
-            np.fft.fft(values, out=spectrum)
-            np.multiply(kinetic, spectrum, out=spectrum)
-            np.fft.ifft(spectrum, out=values)
-            np.abs(values, out=local)
-            local *= local
-            local *= self.coupling
-            if potential is not None:
-                local += potential
-            self._check_step(local, h)
-            # exp(-i h local) of a real local term, bitwise: cos and
-            # sin of theta = -h local
-            local *= -h
+        for k in range(n + 1):
+            self._local_into(values, potential, local)
+            if k < n:
+                self._check_step(local, h)
+            # cos and sin of -c local, bitwise exp(-i c local): c is h/2 in
+            # the opening and closing halves, h in the fused steps between
+            local *= -0.5 * h if k in (0, n) else -h
             np.cos(local, out=phase.real)
             np.sin(local, out=phase.imag)
             values *= phase
-        values = np.fft.ifft(kinetic * np.fft.fft(values))
-        return values * np.exp(-0.5j * h * self._local_term(values, potential))
+            if k < n:
+                # kinetic * spectrum, not spectrum * kinetic: numpy's
+                # complex product is not bitwise commutative
+                np.fft.fft(values, out=spectrum)
+                np.multiply(kinetic, spectrum, out=spectrum)
+                np.fft.ifft(spectrum, out=values)
+        return values
 
-    def imaginary_step(self, values: np.ndarray, dtau: float,
-                       potential=None) -> np.ndarray:
-        """One normalized imaginary-time step (no trust-limit check)."""
-        local = self._local_term(values, potential)
-        values = values * np.exp(-0.5 * dtau * local)
-        kin = self._kinetic((dtau, None),
-                            lambda: np.exp(-dtau * self.energies))
-        values = np.fft.ifft(kin * np.fft.fft(values))
-        local = self._local_term(values, potential)
-        values = values * np.exp(-0.5 * dtau * local)
-        norm = np.sqrt(TWO_PI / self.grid_n * np.sum(np.abs(values) ** 2))
-        return values / norm
+    def relax(self, values: np.ndarray, dtau: float, steps: int,
+              potential=None) -> np.ndarray:
+        """Take `steps` normalised imaginary-time Strang steps of `dtau`.
+
+        The factors exp(-dtau/2 (V + g n)) and exp(-dtau E) are real, and
+        every step ends at unit norm (measure 2 pi / grid_n).  The density
+        then depends on the norm, so the halves do not fuse.  No step guard.
+        """
+        values = values.copy()
+        kinetic = np.exp(-dtau * self.energies)
+        spectrum = np.empty_like(values)
+        local = np.empty(values.shape)
+        for _ in range(steps):
+            self._local_into(values, potential, local)
+            local *= -0.5 * dtau
+            values *= np.exp(local, out=local)
+            np.fft.fft(values, out=spectrum)
+            np.multiply(kinetic, spectrum, out=spectrum)
+            np.fft.ifft(spectrum, out=values)
+            self._local_into(values, potential, local)
+            local *= -0.5 * dtau
+            values *= np.exp(local, out=local)
+            np.abs(values, out=local)
+            local *= local
+            values /= np.sqrt(TWO_PI / self.grid_n * np.sum(local))
+        return values
 
     def energy(self, values: np.ndarray, potential=None) -> float:
         """Mean-field energy functional (internal units) of a unit-norm state."""
@@ -347,16 +350,12 @@ def ground_state_imaginary_time(trap: TrapSpec,
 
     guess = gaussian_packet(well_center, min(1.0 / np.sqrt(wf_int), 0.5),
                             cutoff=grid_n // 2 - 1)
-    values = to_grid(guess, grid_n).values.copy()
+    values = to_grid(guess, grid_n).values
 
-    block = 50
     e_prev = engine.energy(values, pot)
-    steps = 0
-    while steps < max_steps:
-        todo = min(block, max_steps - steps)
-        for _ in range(todo):
-            values = engine.imaginary_step(values, dtau, pot)
-        steps += todo
+    for steps in range(0, max_steps, 50):
+        todo = min(50, max_steps - steps)
+        values = engine.relax(values, dtau, todo, pot)
         e_now = engine.energy(values, pot)
         if abs(e_now - e_prev) / todo < tolerance:
             return GridState(values)

@@ -222,6 +222,44 @@ def test_in_place_steps_are_bitwise_the_reference_loop(
                                     flux_on))
 
 
+def _imaginary_strang_step(engine, values, dtau, potential):
+    # one explicit normalised imaginary-time step: local half / kinetic
+    # full / local half, then unit norm with measure 2 pi / N
+    def local_term(vals):
+        return engine.coupling * np.abs(vals) ** 2 + potential
+
+    values = values * np.exp(-0.5 * dtau * local_term(values))
+    values = np.fft.ifft(np.exp(-dtau * engine.energies) *
+                         np.fft.fft(values))
+    values = values * np.exp(-0.5 * dtau * local_term(values))
+    norm = np.sqrt(2.0 * math.pi / engine.grid_n *
+                   np.sum(np.abs(values) ** 2))
+    return values / norm
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["free", "coupled"])
+@pytest.mark.parametrize("k", [1, 2, 50])
+def test_relaxation_is_bitwise_explicit_imaginary_time_steps(trap, k,
+                                                            coupled):
+    inter = (rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
+                                atom_number=2e4) if coupled else None)
+    engine = _SplitStepEngine(rs.DispersionModel(trap=trap, cutoff=1), 256,
+                              inter)
+    well = 400.0    # internal angular well frequency
+    angle = (engine.angles + math.pi) % (2.0 * math.pi) - math.pi
+    potential = 0.5 * well ** 2 * angle ** 2
+    dtau = 1e-3 / well
+    # off the well's centre, so every step moves the state
+    values = rs.to_grid(rs.gaussian_packet(0.3, 0.3, 100), 256).values
+    before = values.copy()
+    relaxed = engine.relax(values, dtau, k, potential)
+    np.testing.assert_array_equal(values, before)
+    stepped = values
+    for _ in range(k):
+        stepped = _imaginary_strang_step(engine, stepped, dtau, potential)
+    np.testing.assert_array_equal(relaxed, stepped)
+
+
 def test_split_step_is_second_order(trap):
     # Richardson check: each run is compared against its own quarter-step
     # reference, so halving the step must shrink the error fourfold.

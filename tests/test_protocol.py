@@ -649,8 +649,16 @@ def test_early_resumes_track_their_pinned_walks(trap, case):
         assert searched.revival_time_s == t_star
         assert not np.array_equal(searched.records, cold.records,
                                   equal_nan=True)
-        np.testing.assert_allclose(searched.records, cold.records,
-                                   rtol=0, atol=1e-6)
+        # time, fidelity and imbalance as they are; the centroid (column 3)
+        # on the circle, since a packet at angle 0 reads about 0 or 2 pi
+        np.testing.assert_allclose(searched.records[:, :3],
+                                   cold.records[:, :3], rtol=0, atol=1e-6)
+        centroid, cold_centroid = searched.records[:, 3], cold.records[:, 3]
+        np.testing.assert_array_equal(np.isnan(centroid),
+                                      np.isnan(cold_centroid))
+        turn = (centroid - cold_centroid + math.pi) % (2.0 * math.pi) - math.pi
+        np.testing.assert_allclose(turn[~np.isnan(turn)], 0.0, rtol=0,
+                                   atol=1e-6)
         assert abs(searched.revival_fidelity - cold.revival_fidelity) < 1e-6
         assert abs(searched.imbalance - cold.imbalance) < 1e-7
         assert searched.snapshot_times == cold.snapshot_times

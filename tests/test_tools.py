@@ -55,12 +55,12 @@ def test_step_count_prints_row_steps_per_phase(tmp_path):
     assert lines[0].split() == ["phase", "calls", "row-steps"]
     table = {line.rsplit(None, 2)[0]: [int(v) for v in line.split()[-2:]]
              for line in lines[1:]}
-    assert list(table) == ["search prefix", "search window",
+    assert list(table) == ["prepare", "search prefix", "search window",
                            "record replay", "walk", "total"]
     # the search's 0.49 T prefix at 1e-4 T per step, cut into its
     # checkpoint segments
     assert table["search prefix"] == [200, 4900]
-    for phase in ("search window", "record replay", "walk"):
+    for phase in ("prepare", "search window", "record replay", "walk"):
         assert table[phase][1] > 0, phase
     assert table["total"] == [sum(table[p][k] for p in list(table)[:-1])
                               for k in (0, 1)]

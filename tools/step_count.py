@@ -4,11 +4,14 @@
 
 Runs `ringsim revival` on PATH, or on the built-in reference scenario
 without `--config`, writing its CSV into a temporary directory.  Every
-`_SplitStepEngine.propagate` call is wrapped from outside the package and
-counted in row-steps: rows times round(duration / dt), at least one, for
-Strang steps, and rows for one exact kinetic step.  Each call is charged
-to one phase:
+`_SplitStepEngine.propagate` and `_SplitStepEngine.relax` call is wrapped
+from outside the package and counted in row-steps: rows times
+round(duration / dt), at least one, for Strang steps, rows for one exact
+kinetic step, and rows times its step count for a relaxation.  Each call
+is charged to one phase:
 
+    prepare         the imaginary-time relaxation of the initial packet
+                    (`relax`; none on the linear solver)
     search prefix   the search's advance from release to half its window's
                     lower edge, which it keeps as checkpoints
     search window   the search's fidelity queries, from those checkpoints on
@@ -36,11 +39,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from ringsim import cli, protocol  # noqa: E402
 from ringsim.propagator import _SplitStepEngine  # noqa: E402
 
-PHASES = ("search prefix", "search window", "record replay", "walk")
+PHASES = ("prepare", "search prefix", "search window", "record replay", "walk")
+
+
+def _rows(values) -> int:
+    return values.shape[0] if values.ndim == 2 else 1
 
 
 class StepCounter:
-    """Wraps `propagate` and the search objective; counts per phase."""
+    """Wraps `propagate`, `relax` and the search objective; counts phases."""
 
     def __init__(self):
         self.steps = dict.fromkeys(PHASES, 0)
@@ -61,18 +68,24 @@ class StepCounter:
                       flux_on=True):
             phase = self._phase(values)
             out = original(engine, values, duration, dt, potential, flux_on)
-            rows = values.shape[0] if values.ndim == 2 else 1
             if duration <= 0:
                 steps = 0
             elif engine.coupling == 0.0 and potential is None:
                 steps = 1
             else:
                 steps = max(1, int(round(duration / dt)))
-            self.steps[phase] += rows * steps
+            self.steps[phase] += _rows(values) * steps
             self.calls[phase] += 1
             self._last = (out, phase)
             return out
         return propagate
+
+    def _relax(self, original):
+        def relax(engine, values, dtau, steps, potential=None):
+            self.steps["prepare"] += _rows(values) * steps
+            self.calls["prepare"] += 1
+            return original(engine, values, dtau, steps, potential)
+        return relax
 
     def _in_phase(self, phase, fn):
         def wrapped(*args):
@@ -92,13 +105,16 @@ class StepCounter:
     @contextlib.contextmanager
     def installed(self):
         propagate = _SplitStepEngine.propagate
+        relax = _SplitStepEngine.relax
         objective = protocol._splitstep_objective
         _SplitStepEngine.propagate = self._propagate(propagate)
+        _SplitStepEngine.relax = self._relax(relax)
         protocol._splitstep_objective = self._objective(objective)
         try:
             yield self
         finally:
             _SplitStepEngine.propagate = propagate
+            _SplitStepEngine.relax = relax
             protocol._splitstep_objective = objective
 
 
