@@ -38,9 +38,9 @@ class ScenarioConfig:
     """Resolved configuration; every field maps to one file key.
 
     A field's annotation picks the parser of its key (see `_PARSERS`).
-    `dt_rev_factor` is the Strang step in units of the ideal revival
-    period; `auto`, the default, derives it per run from the peak local
-    phase per step (see `ProtocolSpec.dt_factor`).
+    `dt_rev_factor` is the split-step time per FFT pair in units of the
+    ideal revival period; `auto`, the default, derives it per run from the
+    peak local phase per substep (see `ProtocolSpec.dt_factor`).
     """
 
     # trap and atom (required in files; exactly one omega_perp_* key)

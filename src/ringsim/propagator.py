@@ -7,17 +7,20 @@ accumulated gauge-flux angle; a constant flux rotates every revival by
 (flux action)/hbar per ideal period.
 
 The protocol drives one engine on the angular grid, with the dispersion
-evaluated on the full grid ladder.  Its real-time loop takes Strang-split
-FFT steps where a mean-field coupling or a potential acts, and one exact
-kinetic step across an interval with neither; its imaginary-time loop
-relaxes to the mean-field ground state in an angular well, which is how
-the interference protocol prepares its initial packet.  Both loops step in
-place through one local-term routine, and the engine keeps the last
-real-time kinetic factor for the next interval of equal step.
+evaluated on the full grid ladder.  Its real-time loop takes split FFT
+steps of a given scheme (Strang, or the fourth-order Blanes-Moan
+composition the protocol steps with) where a mean-field coupling or a
+potential acts, and one exact kinetic step across an interval with
+neither; its imaginary-time loop relaxes to the mean-field ground state in
+an angular well, which is how the interference protocol prepares its
+initial packet.  Both loops step in place through one local-term routine,
+and the engine keeps the last real-time kinetic factor for the next
+interval of equal step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,9 +34,49 @@ from .states import GridState, SpectralState, gaussian_packet, to_grid
 
 TWO_PI = 2.0 * np.pi
 
-# Largest local phase advance allowed in one split step (rad).  Above this
-# the Strang error is no longer small and the step must be refused.
+# Largest local phase advance allowed in one local substep (rad).  Above
+# this the splitting error is no longer small and the step must be refused.
 LOCAL_PHASE_LIMIT = 0.1
+
+# Splitting schemes: (local, kinetic) coefficients in units of the step h.
+# A step is local a_0 h, kinetic b_0 h, local a_1 h, ..., kinetic b_m-1 h,
+# local a_m h, so it takes m FFT pairs.  STRANG is local half / kinetic full
+# / local half.  BLANES_MOAN is the optimised fourth-order S6 of Blanes and
+# Moan, J. Comput. Appl. Math. 142, 313 (2002), Table 2, with the local
+# term as their "A" operator: six FFT pairs per step.
+STRANG = ((0.5, 0.5), (1.0,))
+_A1, _A2, _A3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+_B1, _B2 = 0.209515106613362, -0.143851773179818
+BLANES_MOAN = ((_A1, _A2, _A3, 1.0 - 2.0 * (_A1 + _A2 + _A3), _A3, _A2, _A1),
+               (_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1))
+
+
+def fused_local_coefficients(scheme) -> tuple:
+    """Local coefficients of a scheme's substeps between two FFT pairs.
+
+    Entry k is the coefficient before kinetic substep k of a step; entry 0
+    fuses the closing local substep of the step before with the opening one.
+    """
+    local, kinetic = scheme
+    return (local[-1] + local[0],) + tuple(local[1:len(kinetic)])
+
+
+def step_count(duration: float, dt: float) -> int:
+    """The fewest equal steps, at least one, that tile `duration` with none
+    longer than `dt`.  A duration of n dt, whose quotient may round to just
+    above n, takes n steps."""
+    return max(1, math.ceil(duration / dt * (1.0 - 1e-12)))
+
+
+def local_phase_per_pair(scheme) -> float:
+    """Largest fused local phase of `scheme` in units of h / m.
+
+    m = len(kinetic) FFT pairs make one step h, so at equal cost per FFT
+    pair the peak local phase of a substep is this times the peak local
+    rate times the mean time per pair, h / m.  Strang's is 1.
+    """
+    fused = fused_local_coefficients(scheme)
+    return len(scheme[1]) * max(abs(c) for c in fused)
 
 
 @dataclass(frozen=True)
@@ -140,20 +183,21 @@ def half_revival_superposition(state: SpectralState) -> SpectralState:
 # split-step engine
 
 class _SplitStepEngine:
-    """Strang-split FFT stepper for the ring GPE in internal units.
+    """Split-step FFT stepper for the ring GPE in internal units.
 
     i d psi / dt = E(-i d/dalpha) psi + [V(alpha, t) + g |psi|^2] psi
 
     with E the (possibly corrected) dispersion evaluated on the full FFT
     harmonic ladder and V an arbitrary time-dependent angular potential.
-    Two loops step a copy of the caller's values in place, each step local
-    half / kinetic full / local half with the local term V + g |psi|^2 from
-    `_local_into`: `propagate` in real time, where the kinetic phase also
+    Two loops step a copy of the caller's values in place, alternating
+    local substeps, with the local term V + g |psi|^2 from `_local_into`,
+    and kinetic substeps: `propagate` in real time, in the steps of a
+    splitting scheme (STRANG by default), where the kinetic phase also
     carries the gauge-flux term linear in ell, and `relax` in imaginary
-    time, which builds its real kinetic factor once per call.
-    `kinetic_phase` keeps the last real-time factor in one slot, asked for
-    once per `propagate` interval: it hits on consecutive intervals of equal
-    step, most often the exact kinetic steps between equally spaced records.
+    time, in Strang steps, which builds its real kinetic factor once per
+    call.  `kinetic_phase` keeps the last real-time factor in one slot: it
+    hits on consecutive Strang intervals of equal step, most often the exact
+    kinetic steps between equally spaced records.
 
     Values may be one state of shape (grid_n,) or a batch of shape
     (rows, grid_n), one state per row; the FFTs run along the last axis and
@@ -194,58 +238,69 @@ class _SplitStepEngine:
             out += potential
 
     @staticmethod
-    def _check_step(local: np.ndarray, dt: float) -> None:
-        peak = float(np.abs(local).max()) * abs(dt)
+    def _check_step(local: np.ndarray, scale: float) -> None:
+        peak = float(np.abs(local).max()) * scale
         if peak >= LOCAL_PHASE_LIMIT:
             raise StepSizeError(
-                "local phase advance %.3g rad per step reaches the limit "
+                "local phase advance %.3g rad per substep reaches the limit "
                 "%.2g rad; lower dt_factor (config key dt_rev_factor) or "
                 "leave it unset (auto) to derive the step from the coupling "
                 "and the pulse" % (peak, LOCAL_PHASE_LIMIT))
 
     def propagate(self, values: np.ndarray, duration: float, dt: float,
-                  potential=None, flux_on: bool = True) -> np.ndarray:
-        """Step across `duration` (internal units) in equal Strang steps.
+                  potential=None, flux_on: bool = True,
+                  scheme=STRANG) -> np.ndarray:
+        """Step across `duration` (internal units) in equal steps of `scheme`.
 
-        The step count is round(duration / dt), at least one, so the steps
-        tile the interval exactly; a non-positive duration is a no-op.  The
-        local half-steps keep the density, so the closing half of one step
-        and the opening half of the next fuse into one full local step.
+        The steps tile the interval exactly, as the fewest equal steps no
+        longer than dt (`step_count`), so the guard's phase at dt bounds
+        every step; a non-positive duration is a no-op.  The local substeps
+        keep the density, so the closing local substep of one step and the
+        opening one of the next fuse into one.  The kinetic factors are
+        built once per call, one per distinct coefficient.
         `potential` is the dimensionless angular potential sampled on the
         grid (or None); `flux_on` False drops the flux term, as before a
-        delayed turn-on.  The step guard raises StepSizeError when the local
-        phase advance |V + g n| h of a step, taken on the density already in
-        hand, exceeds the trust limit.  With no coupling and no potential
-        the local half-steps are the identity, so one kinetic step over the
-        whole interval is exact.
+        delayed turn-on.  Before every FFT pair the step guard raises
+        StepSizeError when the local phase advance |V + g n| c h, taken on
+        the density in hand with c the scheme's largest fused local
+        coefficient, exceeds the trust limit.  With no coupling and no
+        potential the local substeps are the identity, so one kinetic step
+        over the whole interval is exact.
         """
         if duration <= 0:
             return values
         if self.coupling == 0.0 and potential is None:
             return np.fft.ifft(self.kinetic_phase(duration, flux_on) *
                                np.fft.fft(values))
-        n = max(1, int(round(duration / dt)))
+        opening, closing = scheme[0][0], scheme[0][-1]
+        fused = fused_local_coefficients(scheme)
+        m = len(fused)
+        n = step_count(duration, dt)
         h = duration / n
-        kinetic = self.kinetic_phase(h, flux_on)
+        guard = max(abs(c) for c in fused) * h
+        factors = {c: self.kinetic_phase(c * h, flux_on)
+                   for c in dict.fromkeys(scheme[1])}
+        kinetic = [factors[c] for c in scheme[1]]
         values = values.copy()
         spectrum = np.empty_like(values)
         phase = np.empty_like(values)
         local = np.empty(values.shape)
-        for k in range(n + 1):
+        pairs = n * m
+        for k in range(pairs + 1):
             self._local_into(values, potential, local)
-            if k < n:
-                self._check_step(local, h)
-            # cos and sin of -c local, bitwise exp(-i c local): c is h/2 in
-            # the opening and closing halves, h in the fused steps between
-            local *= -0.5 * h if k in (0, n) else -h
+            if k < pairs:
+                self._check_step(local, guard)
+            # cos and sin of -c h local, bitwise exp(-i c h local)
+            c = opening if k == 0 else closing if k == pairs else fused[k % m]
+            local *= -c * h
             np.cos(local, out=phase.real)
             np.sin(local, out=phase.imag)
             values *= phase
-            if k < n:
+            if k < pairs:
                 # kinetic * spectrum, not spectrum * kinetic: numpy's
                 # complex product is not bitwise commutative
                 np.fft.fft(values, out=spectrum)
-                np.multiply(kinetic, spectrum, out=spectrum)
+                np.multiply(kinetic[k % m], spectrum, out=spectrum)
                 np.fft.ifft(spectrum, out=values)
         return values
 

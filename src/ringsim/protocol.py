@@ -48,9 +48,10 @@ from .errors import (CentroidUndefinedError, ConfigError,
                      RevivalNotFoundError, require_finite)
 from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
                           density_profile, fidelity, population_imbalance)
-from .propagator import (LOCAL_PHASE_LIMIT, TWO_PI, FluxSpec,
-                         InteractionSpec, _SplitStepEngine, evolve_linear,
-                         ground_state_imaginary_time)
+from .propagator import (BLANES_MOAN, TWO_PI, FluxSpec, InteractionSpec,
+                         _SplitStepEngine, evolve_linear,
+                         ground_state_imaginary_time, local_phase_per_pair,
+                         step_count)
 from .spectrum import TrapSpec, corrected_dispersion, revival_time
 from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
@@ -60,11 +61,12 @@ SOLVERS = ("linear", "splitstep")
 # A coarse-scan fidelity below this means the window holds no revival.
 SEARCH_FIDELITY_FLOOR = 0.1
 
-# An unset dt_factor keeps the peak local phase per step at a quarter of the
-# step guard's limit, and the step no longer than the cap, at which the
-# reference scenario's outputs stay within 1e-4 of a 5e-6 step (README).
-STEP_PHASE_TARGET = 0.25 * LOCAL_PHASE_LIMIT
-DT_FACTOR_CAP = 2e-5
+# An unset dt_factor keeps the largest fused local phase of a substep at
+# STEP_PHASE_TARGET (rad), below the step guard's LOCAL_PHASE_LIMIT, and the
+# mean time per FFT pair no longer than DT_FACTOR_CAP ideal periods.  Both
+# are set from the convergence tables in README ("Step size").
+STEP_PHASE_TARGET = 0.088
+DT_FACTOR_CAP = 3e-5
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -103,7 +105,7 @@ class ImprintSpec:
     `application_time` is the pulse start in seconds after release; None
     means half of the optimized revival time, the symmetric point of the
     interferometer.  `duration` > 0 spreads the imprint over a potential
-    pulse of that length, stepped in Strang steps with either solver; zero
+    pulse of that length, stepped in split steps with either solver; zero
     applies it instantaneously.
     """
 
@@ -148,13 +150,15 @@ class ProtocolSpec:
     "splitstep" prepares the packet by imaginary-time relaxation in the
     matching angular well, so interaction broadening is included
     self-consistently.  Both run the protocol on the same `grid_n`-point
-    grid: an interval with a coupling or a pulse potential takes Strang
-    steps of `dt_factor` times the ideal revival period, and any other
-    interval one exact kinetic step.  `dt_factor` None (the default) derives
-    the step once per run from the phase the step guard checks: the step
-    over which the peak local phase rate, |coupling| max|psi0|^2 plus the
-    largest pulse rate, advances STEP_PHASE_TARGET, capped at
-    DT_FACTOR_CAP.  The result's spec carries the factor actually used.
+    grid: an interval with a coupling or a pulse potential takes fourth-
+    order Blanes-Moan steps (`propagator.BLANES_MOAN`) of six FFT pairs, and
+    any other interval one exact kinetic step.  `dt_factor` is the mean
+    time per FFT pair in units of the ideal revival period, so a step spans
+    six times it.  `dt_factor` None (the default) derives it once per run
+    from the phase the step guard checks: the factor at which the peak
+    local phase rate, |coupling| max|psi0|^2 plus the largest pulse rate,
+    advances the largest fused local substep by STEP_PHASE_TARGET, capped
+    at DT_FACTOR_CAP.  The result's spec carries the factor actually used.
 
     `revival_time_s` pins the recombination readout time; None searches for
     it (see `find_revival_time`) over `search_window` (in units of the ideal
@@ -358,7 +362,7 @@ def _splitstep_objective(spec: ProtocolSpec):
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g)
     t_pre = 0.5 * spec.search_window[0] * revival_time(spec.trap)
-    n = max(1, round(t_pre / driver.time_unit / driver.dt_int))
+    n = step_count(t_pre / driver.time_unit, driver.dt_int)
     times, states = [0.0], [driver.values]
     for k in range(1, SEARCH_CHECKPOINTS + 1):
         t = t_pre * (round(k * n / SEARCH_CHECKPOINTS) / n)
@@ -454,10 +458,14 @@ class _SplitStepDriver:
     flux turn-on and at the pulse edges of every run, so each pulse
     potential acts exactly over its window and the flux from its onset.
 
-    `dt_factor` is the spec's, or when that is unset the one derived from
-    the peak local phase rate of the prepared packet and of the batch's
-    pulse (see `ProtocolSpec`).
+    Every interval with a coupling or a pulse takes steps of `scheme`, of
+    `dt_factor` times the ideal period per FFT pair.  `dt_factor` is the
+    spec's, or when that is unset the one derived from the peak local phase
+    rate of the prepared packet and of the batch's pulse (see
+    `ProtocolSpec`).
     """
+
+    scheme = BLANES_MOAN
 
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
                  phases=(0.0,), starts=(math.inf,)):
@@ -481,9 +489,10 @@ class _SplitStepDriver:
                     + float(np.max(np.abs(self.rates))))
             self.dt_factor = DT_FACTOR_CAP
             if peak > 0:
-                self.dt_factor = min(DT_FACTOR_CAP,
-                                     STEP_PHASE_TARGET / (TWO_PI * peak))
-        self.dt_int = self.dt_factor * TWO_PI
+                self.dt_factor = min(DT_FACTOR_CAP, STEP_PHASE_TARGET / (
+                    TWO_PI * peak * local_phase_per_pair(self.scheme)))
+        # one step of the scheme: one dt_factor per FFT pair
+        self.dt_int = self.dt_factor * TWO_PI * len(self.scheme[1])
         self.values = psi0_grid.values[None, :].copy()
 
     def _pulse(self, a: float, b: float):
@@ -504,7 +513,7 @@ class _SplitStepDriver:
         for a, b in zip(cuts[:-1], cuts[1:]):
             self.values = self.engine.propagate(
                 self.values, (b - a) / self.time_unit, self.dt_int,
-                self._pulse(a, b), a >= self.turn_on)
+                self._pulse(a, b), a >= self.turn_on, self.scheme)
 
     def imprint(self, run: int) -> None:
         if len(self.values) < len(self.phases):
@@ -563,7 +572,7 @@ def _walk(runs, sampled: bool = False):
     from release.  A record or snapshot before that checkpoint is measured
     by stepping the nearest earlier checkpoint to its own time.  A resumed
     or replayed state differs from one walked from release by the
-    re-tiling of its steps at the checkpoint, the O(dt^2) step error.  Each
+    re-tiling of its steps at the checkpoint, the O(dt^4) step error.  Each
     run is imprinted at its pulse start and read out at its readout time;
     at one instant the imprints act first.  `sampled` adds the
     `n_records` records and `n_snapshots` snapshots of `runs[0]`, evenly
@@ -682,7 +691,7 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
     whatever `spec.n_records` and `spec.n_snapshots` say.  Each row equals
     the record-free `run_protocol` of its phase to rounding: bitwise with a
     mean-field coupling, since every row then takes the same steps.  A row
-    moves from its own run by the O(dt^2) step error where the two step
+    moves from its own run by the O(dt^4) step error where the two step
     differently (a run with records cuts its steps at the record times; a
     finite pulse with `dt_factor` unset: the batch derives its step from
     its largest pulse rate).  Rows keep the order of `phases`.
@@ -705,9 +714,9 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     `spec.n_records` and `spec.n_snapshots` say.  No row leaves the batch
     at its readout: every row steps on until the latest one, so the scan
     takes extra steps over the spread of `offsets`.  Every
-    row's interval is cut at every other row's instants, so where Strang
+    row's interval is cut at every other row's instants, so where split
     steps are taken (a coupling or a pulse) a row differs from its own
-    `run_protocol` by the O(dt^2) step error, not by rounding only.
+    `run_protocol` by the O(dt^4) step error, not by rounding only.
     """
     offsets, measured = _scan(spec, offsets, "offsets", lambda base, o:
                               replace(base, timing_offset=o))

@@ -70,7 +70,8 @@ def test_revival_runs_and_writes_series(quick_cfg, tmp_path, capsys):
 def test_revival_reports_the_step_it_took(tmp_path, capsys):
     # `auto` (the default) resolves to the factor the run stepped with; an
     # explicit factor is reported as given
-    for extra, expected in (("", 2e-5), ("dt_rev_factor = 1e-5\n", 1e-5)):
+    for extra, expected in (("", rs.protocol.DT_FACTOR_CAP),
+                            ("dt_rev_factor = 1e-5\n", 1e-5)):
         path = tmp_path / "step.cfg"
         path.write_text(QUICK + extra)
         out = tmp_path / "out"

@@ -6,7 +6,21 @@ import numpy as np
 import pytest
 
 import ringsim as rs
-from ringsim.propagator import _SplitStepEngine
+from ringsim.propagator import BLANES_MOAN, STRANG, _SplitStepEngine
+
+
+def _phase_per_pair(scheme):
+    # the largest fused local coefficient times the FFT pairs per step: the
+    # peak local phase of a substep per unit local rate and dt_factor
+    local, kinetic = scheme
+    fused = [local[-1] + local[0], *local[1:-1]]
+    return len(kinetic) * max(abs(c) for c in fused)
+
+
+# The protocol's largest local phase per substep over Strang's at an equal
+# dt_factor.  An explicit step set below as a Strang step divided by it
+# keeps its local phase per substep, and so where the step guard stands.
+GUARD_RATIO = _phase_per_pair(BLANES_MOAN) / _phase_per_pair(STRANG)
 
 
 def _linear_spec(trap, **kw):
@@ -381,7 +395,7 @@ def test_linear_and_split_step_solvers_agree_on_a_pulsed_run(trap,
 def _coupled_spec(trap, revival_s, **kw):
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=5e3)
-    kw.setdefault("dt_factor", 1e-4)
+    kw.setdefault("dt_factor", 1e-4 / GUARD_RATIO)
     return rs.ProtocolSpec(trap=trap, interaction=inter, solver="splitstep",
                            cutoff=100, grid_n=256, revival_time_s=revival_s,
                            **kw)
@@ -412,7 +426,7 @@ def test_batched_coupled_sweep_is_bitwise_the_serial_runs(trap, revival_s,
     # the pulse needs a finer step to stay below the step guard
     if pulsed:
         spec = _coupled_spec(trap, revival_s, imprint=_PULSE,
-                             dt_factor=4e-5, n_records=50)
+                             dt_factor=4e-5 / GUARD_RATIO, n_records=50)
         phases = [0.0, math.pi / 3]
     else:
         spec = _coupled_spec(trap, revival_s, n_records=50)
@@ -427,7 +441,7 @@ def test_batched_linear_sweep_equals_the_serial_runs(trap, revival_s, case):
     # potential where its own run takes one exact step: rounding only
     if case == "pulse":
         spec = _linear_spec(trap, imprint=_PULSE, cutoff=100, grid_n=256,
-                            dt_factor=2e-5, n_records=50)
+                            dt_factor=2e-5 / GUARD_RATIO, n_records=50)
     else:
         spec = _linear_spec(trap, flux=rs.FluxSpec(0.8 * rs.HBAR,
                                                    0.7 * revival_s),
@@ -457,10 +471,10 @@ def test_batched_timing_scan_equals_the_serial_runs(trap, pulsed):
 
 def test_batched_coupled_timing_scan_differs_from_serial_runs_by_step_error(
         trap, revival_s):
-    # each row's Strang steps are also cut at the other rows' imprint and
-    # readout instants, which re-tiles them: the rows move by the O(dt^2)
-    # step error, not by rounding only (at this step, by up to 5e-6 in
-    # fidelity and 1.2e-7 in imbalance)
+    # each row's split steps are also cut at the other rows' imprint and
+    # readout instants, which re-tiles them: the rows move by the O(dt^4)
+    # step error, not by rounding only (at this step, by up to 3.6e-8 in
+    # fidelity and 5.1e-10 in imbalance)
     spec = _coupled_spec(trap, revival_s, imprint=rs.ImprintSpec(1.0))
     offsets = [-50e-6, 0.0, 120e-6]
     batched = rs.timing_sensitivity(spec, offsets)
@@ -483,7 +497,7 @@ def test_scan_rows_do_not_depend_on_the_order_of_the_values(trap, revival_s,
         table = rs.timing_sensitivity
     else:
         spec = _coupled_spec(trap, revival_s, imprint=_PULSE,
-                             dt_factor=4e-5)
+                             dt_factor=4e-5 / GUARD_RATIO)
         values = [0.0, 1.0, math.pi / 3, -0.5]
         permuted = [values[i] for i in (2, 0, 3, 1)]
         table = rs.sweep_phase
@@ -518,8 +532,9 @@ def test_too_sharp_a_pulse_trips_the_step_guard(trap, revival_s):
 # an unset step is derived from the phase the step guard checks
 
 def _derived_dt_factor(peak_rate):
-    phase = 0.25 * rs.propagator.LOCAL_PHASE_LIMIT
-    return min(2e-5, phase / (2.0 * math.pi * peak_rate))
+    phase = rs.protocol.STEP_PHASE_TARGET
+    return min(rs.protocol.DT_FACTOR_CAP, phase / (
+        2.0 * math.pi * peak_rate * _phase_per_pair(BLANES_MOAN)))
 
 
 def _reference_coupled(trap, revival_s, a0=1.0, **kw):
@@ -543,16 +558,16 @@ def test_unset_step_is_derived_from_the_peak_local_phase(
     assert spec.dt_factor is None
     assert result.spec.dt_factor == pytest.approx(_derived_dt_factor(peak),
                                                   rel=1e-12)
-    assert result.spec.dt_factor < 2e-5
+    assert result.spec.dt_factor < rs.protocol.DT_FACTOR_CAP
     # an explicit step is taken as given
     explicit = dataclasses.replace(spec, dt_factor=1e-5)
     assert rs.run_protocol(explicit).spec == explicit
     # a weak coupling, or none and no pulse: the cap
     weak = rs.run_protocol(_reference_coupled(trap, 0.05 * revival_s,
                                               a0=0.25))
-    assert weak.spec.dt_factor == 2e-5
+    assert weak.spec.dt_factor == rs.protocol.DT_FACTOR_CAP
     linear = rs.run_protocol(_linear_spec(trap, revival_time_s=revival_s))
-    assert linear.spec.dt_factor == 2e-5
+    assert linear.spec.dt_factor == rs.protocol.DT_FACTOR_CAP
     # a pulse adds its peak rate, the imprint phase over the pulse length
     pulsed = rs.run_protocol(_linear_spec(trap, imprint=_PULSE, cutoff=100,
                                           grid_n=256,
@@ -564,7 +579,7 @@ def test_unset_step_is_derived_from_the_peak_local_phase(
 
 def test_unset_step_runs_where_an_explicit_step_trips_the_guard(trap,
                                                                revival_s):
-    # at 16 a0 a fixed 2e-5 advances the peak phase by ~0.19 rad per step
+    # at 16 a0 a fixed 2e-5 advances the peak phase by ~0.39 rad per substep
     spec = _reference_coupled(trap, 0.02 * revival_s, a0=16.0)
     with pytest.raises(rs.StepSizeError):
         rs.run_protocol(dataclasses.replace(spec, dt_factor=2e-5))
@@ -574,8 +589,8 @@ def test_unset_step_runs_where_an_explicit_step_trips_the_guard(trap,
 
 
 def test_unset_step_agrees_with_half_the_step(trap, revival_s):
-    # the Strang error at the derived step is far below the 1e-4 readout
-    # tolerance (1.8e-6 here; 2.2e-5 over a full period)
+    # the step error at the derived step is far below the 1e-4 readout
+    # tolerance (2.7e-7 here; 4.0e-6 over a full period)
     spec = _reference_coupled(trap, 0.5 * revival_s)
     derived = rs.run_protocol(spec)
     finer = rs.run_protocol(dataclasses.replace(
@@ -601,7 +616,7 @@ def test_unset_step_sweeps_a_pulse_an_explicit_step_cannot(trap, revival_s):
 
 def _searched_coupled(trap, **kw):
     # as `_coupled_spec`, with the revival time left to the search
-    kw.setdefault("dt_factor", 1e-4)
+    kw.setdefault("dt_factor", 1e-4 / GUARD_RATIO)
     kw.setdefault("imprint", rs.ImprintSpec(1.0))
     kw.setdefault("interaction", rs.InteractionSpec(
         scattering_length=rs.BOHR_RADIUS, atom_number=5e3))
@@ -612,8 +627,8 @@ def _searched_coupled(trap, **kw):
 def test_a_resumed_walk_is_within_step_error_of_a_walk_from_release(trap):
     # the pinned spec has no search, so it walks from release in one
     # interval where the resumed walk cuts it at 0.49 T: the re-tiling moves
-    # the readout by the O(dt^2) step error (at this step 2.6e-8 in
-    # fidelity, 1.5e-9 in imbalance)
+    # the readout by the O(dt^4) step error (at this step 3.9e-11 in
+    # fidelity, 1.5e-11 in imbalance)
     spec = _searched_coupled(trap)
     resumed = rs.run_protocol(spec)
     pinned = dataclasses.replace(spec, revival_time_s=resumed.revival_time_s)
@@ -635,9 +650,9 @@ def test_early_resumes_track_their_pinned_walks(trap, case):
     # the searched walk resumes from the latest checkpoint before its first
     # imprint, and replays each earlier record and snapshot from the
     # nearest earlier checkpoint; the pinned spec walks from release.  The
-    # re-tiling moves every value by the O(dt^2) step error (at this step
-    # 5.7e-8 at most in a record, 2.7e-8 in readout fidelity, 1.3e-9 in
-    # imbalance, 6.5e-6 per rad in a snapshot density, 3.0e-8 in the scan)
+    # re-tiling moves every value by the O(dt^4) step error (at this step
+    # 4.1e-10 at most in a record, 1.2e-10 in readout fidelity, 1.8e-11 in
+    # imbalance, 6.4e-6 per rad in a snapshot density, 2.4e-10 in the scan)
     if case == "records":
         spec = _searched_coupled(trap, n_records=20, n_snapshots=3)
     else:
@@ -699,8 +714,10 @@ def test_the_search_keeps_a_fixed_list_of_whole_step_checkpoints(
     assert len(store.times) == len(store.states) == count + 1
     t_pre = 0.5 * spec.search_window[0] * rs.revival_time(trap)
     assert store.times[0] == 0.0 and store.times[-1] == t_pre
-    # of the prefix's n steps, checkpoint k sits at round(k n / count)
-    n = round(t_pre / (dt_factor * rs.revival_time(trap)))
+    # of the prefix's n steps, the fewest no longer than the step of one
+    # dt_factor per FFT pair, checkpoint k sits at round(k n / count)
+    step = len(BLANES_MOAN[1]) * dt_factor * rs.revival_time(trap)
+    n = math.ceil(t_pre / step)
     np.testing.assert_allclose(
         np.array(store.times) / (t_pre / n),
         [round(k * n / count) for k in range(count + 1)], rtol=0, atol=1e-9)

@@ -15,11 +15,11 @@ def test_step_cost_prints_one_line_per_batch(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[1].split() == ["rows", "us/step", "us/state-step"]
+    assert lines[1].split() == ["rows", "us/pair", "us/state-pair"]
     table = [line.split() for line in lines[2:]]
     assert [int(row[0]) for row in table] == [1, 7, 13]
-    for _, per_step, per_state in table:
-        assert 0 < float(per_state) <= float(per_step)
+    for _, per_pair, per_state in table:
+        assert 0 < float(per_state) <= float(per_pair)
 
 
 def test_step_cost_refuses_a_zero_step_count(tmp_path):
@@ -43,7 +43,7 @@ SMALL_SPLITSTEP = (
 )
 
 
-def test_step_count_prints_row_steps_per_phase(tmp_path):
+def test_step_count_prints_fft_pairs_per_phase(tmp_path):
     config = tmp_path / "small.cfg"
     config.write_text(SMALL_SPLITSTEP)
     done = subprocess.run(
@@ -52,14 +52,14 @@ def test_step_count_prints_row_steps_per_phase(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0].split() == ["phase", "calls", "row-steps"]
+    assert lines[0].split() == ["phase", "calls", "fft-pairs"]
     table = {line.rsplit(None, 2)[0]: [int(v) for v in line.split()[-2:]]
              for line in lines[1:]}
     assert list(table) == ["prepare", "search prefix", "search window",
                            "record replay", "walk", "total"]
-    # the search's 0.49 T prefix at 1e-4 T per step, cut into its
-    # checkpoint segments
-    assert table["search prefix"] == [200, 4900]
+    # the search's 0.49 T prefix in 817 steps of six FFT pairs of 1e-4 T,
+    # cut into its checkpoint segments
+    assert table["search prefix"] == [200, 6 * 817]
     for phase in ("prepare", "search window", "record replay", "walk"):
         assert table[phase][1] > 0, phase
     assert table["total"] == [sum(table[p][k] for p in list(table)[:-1])

@@ -1,13 +1,14 @@
-"""Time one split-step step of the reference scenario's engine.
+"""Time one FFT pair of the reference scenario's split-step engine.
 
     python3 tools/step_cost.py [--steps 10000] [--repeats 5]
 
 Builds the protocol driver of the built-in reference scenario (2e4 K-39
 atoms at 1 a0, `grid_n` 512, the derived step), then times
-`_SplitStepEngine.propagate` over `--steps` coupled steps for batches of
-1, 7 and 13 rows (the shared prefix, the `sweep_splitstep` batch and a
-13-phase sweep).  Prints the best of `--repeats` timings per batch, in
-microseconds per step and per state-step.
+`_SplitStepEngine.propagate` over `--steps` coupled steps of the driver's
+scheme for batches of 1, 7 and 13 rows (the shared prefix, the
+`sweep_splitstep` batch and a 13-phase sweep).  Prints the best of
+`--repeats` timings per batch, in microseconds per FFT pair (one kinetic
+substep, the unit of cost) and per state-pair.
 """
 
 from __future__ import annotations
@@ -28,20 +29,21 @@ from ringsim.protocol import _prepare, _SplitStepDriver  # noqa: E402
 ROWS = (1, 7, 13)
 
 
-def step_costs(steps: int, repeats: int) -> dict:
-    """Best-of-`repeats` seconds per step of `propagate`, per batch size."""
+def pair_costs(steps: int, repeats: int) -> dict:
+    """Best-of-`repeats` seconds per FFT pair of `propagate`, per batch."""
     spec = build_protocol(from_defaults())
     driver = _SplitStepDriver(spec, _prepare(spec)[1])
-    engine, dt = driver.engine, driver.dt_int
+    engine, dt, scheme = driver.engine, driver.dt_int, driver.scheme
+    pairs = steps * len(scheme[1])
     costs = {}
     for rows in ROWS:
         values = np.repeat(driver.values, rows, axis=0)
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            engine.propagate(values, steps * dt, dt)
+            engine.propagate(values, steps * dt, dt, None, True, scheme)
             best = min(best, time.perf_counter() - start)
-        costs[rows] = best / steps
+        costs[rows] = best / pairs
     return costs
 
 
@@ -54,8 +56,8 @@ def main(argv=None) -> int:
         parser.error("--steps and --repeats must be >= 1")
     print("numpy %s, %d cores, %d steps, best of %d"
           % (np.__version__, os.cpu_count(), args.steps, args.repeats))
-    print("rows  us/step  us/state-step")
-    for rows, cost in step_costs(args.steps, args.repeats).items():
+    print("rows  us/pair  us/state-pair")
+    for rows, cost in pair_costs(args.steps, args.repeats).items():
         print("%4d  %7.1f  %13.1f" % (rows, 1e6 * cost, 1e6 * cost / rows))
     return 0
 

@@ -1,14 +1,15 @@
-"""Count the split-step row-steps of one `ringsim revival` run, per phase.
+"""Count the FFT pairs of one `ringsim revival` run, per phase.
 
     python3 tools/step_count.py [--config PATH]
 
 Runs `ringsim revival` on PATH, or on the built-in reference scenario
 without `--config`, writing its CSV into a temporary directory.  Every
 `_SplitStepEngine.propagate` and `_SplitStepEngine.relax` call is wrapped
-from outside the package and counted in row-steps: rows times
-round(duration / dt), at least one, for Strang steps, rows for one exact
-kinetic step, and rows times its step count for a relaxation.  Each call
-is charged to one phase:
+from outside the package and counted in FFT pairs, the unit of cost: rows
+times the scheme's kinetic substeps per step times the engine's
+`step_count(duration, dt)` for split steps, rows for one exact kinetic
+step, and rows times its step count for a relaxation.  Each call is
+charged to one phase:
 
     prepare         the imaginary-time relaxation of the initial packet
                     (`relax`; none on the linear solver)
@@ -20,7 +21,7 @@ is charged to one phase:
 
 A replay starts from a stored checkpoint, which is read-only; a replay cut
 at the flux turn-on continues from the output of its first call.  Prints
-one table of calls and row-steps per phase.  Exits with the CLI's code,
+one table of calls and FFT pairs per phase.  Exits with the CLI's code,
 and prints the CLI's output to stderr when that is not 0.
 """
 
@@ -37,7 +38,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from ringsim import cli, protocol  # noqa: E402
-from ringsim.propagator import _SplitStepEngine  # noqa: E402
+from ringsim.propagator import (STRANG, _SplitStepEngine,  # noqa: E402
+                                step_count)
 
 PHASES = ("prepare", "search prefix", "search window", "record replay", "walk")
 
@@ -50,7 +52,7 @@ class StepCounter:
     """Wraps `propagate`, `relax` and the search objective; counts phases."""
 
     def __init__(self):
-        self.steps = dict.fromkeys(PHASES, 0)
+        self.pairs = dict.fromkeys(PHASES, 0)
         self.calls = dict.fromkeys(PHASES, 0)
         self._search = None
         self._last = None
@@ -65,16 +67,17 @@ class StepCounter:
 
     def _propagate(self, original):
         def propagate(engine, values, duration, dt, potential=None,
-                      flux_on=True):
+                      flux_on=True, scheme=STRANG):
             phase = self._phase(values)
-            out = original(engine, values, duration, dt, potential, flux_on)
+            out = original(engine, values, duration, dt, potential, flux_on,
+                           scheme)
             if duration <= 0:
-                steps = 0
+                pairs = 0
             elif engine.coupling == 0.0 and potential is None:
-                steps = 1
+                pairs = 1
             else:
-                steps = max(1, int(round(duration / dt)))
-            self.steps[phase] += _rows(values) * steps
+                pairs = len(scheme[1]) * step_count(duration, dt)
+            self.pairs[phase] += _rows(values) * pairs
             self.calls[phase] += 1
             self._last = (out, phase)
             return out
@@ -82,7 +85,7 @@ class StepCounter:
 
     def _relax(self, original):
         def relax(engine, values, dtau, steps, potential=None):
-            self.steps["prepare"] += _rows(values) * steps
+            self.pairs["prepare"] += _rows(values) * steps
             self.calls["prepare"] += 1
             return original(engine, values, dtau, steps, potential)
         return relax
@@ -135,12 +138,12 @@ def main(argv=None) -> int:
     if code != 0:
         sys.stderr.write(log.getvalue())
         return code
-    print("phase           calls  row-steps")
+    print("phase           calls  fft-pairs")
     for phase in PHASES:
         print("%-14s %6d %10d" % (phase, counter.calls[phase],
-                                  counter.steps[phase]))
+                                  counter.pairs[phase]))
     print("%-14s %6d %10d" % ("total", sum(counter.calls.values()),
-                              sum(counter.steps.values())))
+                              sum(counter.pairs.values())))
     return 0
 
 
