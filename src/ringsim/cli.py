@@ -138,7 +138,6 @@ def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
     for name in config.sweep_variants:
         spec = _variant_spec(base, name)
         rows = sweep_phase(spec, phases)
-        rows = rows[np.argsort(rows[:, 0], kind="stable")]
         header = _header_lines(config, "sweep-phase", [("variant", name)])
         path = os.path.join(out_dir, "sweep_phase_%s.csv" % name)
         _write_csv(path, header, ["phi_rad", "imbalance"], rows)

@@ -41,7 +41,7 @@ def fidelity(a, b) -> float:
     else:
         raise InvalidParameterError(
             "fidelity requires two states of the same representation")
-    return float(np.abs(overlap) ** 2)
+    return float(abs(overlap) ** 2)
 
 
 def _as_grid(state, grid_n: int | None) -> GridState:

@@ -305,10 +305,12 @@ def _prepare(spec: ProtocolSpec):
                             spec.cutoff, spec.grid_n)
 
 
-def _flux_angle(spec: ProtocolSpec, t: float) -> float:
-    if spec.flux is None:
-        return 0.0
-    return spec.flux.accumulated_angle(spec.trap, t)
+def _revival_fidelity(grid: GridState, spec: ProtocolSpec,
+                      psi0: SpectralState, t: float) -> float:
+    """Fidelity of `grid` with the flux-corotated half-turn image of psi0."""
+    angle = 0.0 if spec.flux is None else spec.flux.accumulated_angle(
+        spec.trap, t)
+    return fidelity(to_grid(rotate(psi0, np.pi + angle), spec.grid_n), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +383,8 @@ def _splitstep_objective(spec: ProtocolSpec):
             driver.advance(times[i], t)
             times.insert(i + 1, t)
             states.insert(i + 1, driver.values)
-        return _overlap_fidelity(
-            rotate(psi0_s, np.pi + _flux_angle(spec, t)), driver.values,
-            spec.grid_n)
+        return _revival_fidelity(GridState(driver.values[0]), spec, psi0_s,
+                                 t)
 
     return objective
 
@@ -436,13 +437,6 @@ def find_revival_time(spec: ProtocolSpec) -> float:
 
 # ---------------------------------------------------------------------------
 # protocol driver
-
-
-def _overlap_fidelity(target: SpectralState, values: np.ndarray,
-                      grid_n: int) -> float:
-    tvals = to_grid(target, grid_n).values
-    overlap = TWO_PI / grid_n * np.vdot(tvals, values)
-    return float(abs(overlap) ** 2)
 
 
 class _SplitStepDriver:
@@ -540,12 +534,9 @@ def _schedule(spec: ProtocolSpec, t_star: float):
     return t_imp, total
 
 
-def _measure(values: np.ndarray, spec: ProtocolSpec, psi0: SpectralState,
+def _measure(grid: GridState, spec: ProtocolSpec, psi0: SpectralState,
              t: float):
-    """(fidelity, imbalance, centroid) at protocol time t, NaN-tolerant."""
-    target = rotate(psi0, np.pi + _flux_angle(spec, t))
-    fid = _overlap_fidelity(target, values, spec.grid_n)
-    grid = GridState(values)
+    """(t, fidelity, imbalance, centroid) at protocol time t, NaN-tolerant."""
     center = spec.packet_center
     try:
         imbalance = population_imbalance(
@@ -558,7 +549,7 @@ def _measure(values: np.ndarray, spec: ProtocolSpec, psi0: SpectralState,
         centroid = circular_centroid(grid)
     except CentroidUndefinedError:
         centroid = math.nan
-    return fid, imbalance, centroid
+    return t, _revival_fidelity(grid, spec, psi0, t), imbalance, centroid
 
 
 def _walk(runs, sampled: bool = False):
@@ -574,12 +565,15 @@ def _walk(runs, sampled: bool = False):
     or replayed state differs from one walked from release by the
     re-tiling of its steps at the checkpoint, the O(dt^4) step error.  Each
     run is imprinted at its pulse start and read out at its readout time;
-    at one instant the imprints act first.  `sampled` adds the
-    `n_records` records and `n_snapshots` snapshots of `runs[0]`, evenly
-    from release to its readout, for a single run.  Returns (revival time,
-    dt_factor, events): events are (t, kind, index, measured) in time
-    order, where a snapshot measures the density profile and a "record" or
-    "readout" the (fidelity, imbalance, centroid) of `_measure`.
+    at one instant the imprints act first, then the readouts, records and
+    snapshots.  `sampled` adds the `n_records` records and `n_snapshots`
+    snapshots of `runs[0]`, evenly from release to its readout, for a
+    single run.
+
+    Returns (revival time, dt_factor, measured): `measured` maps "readout"
+    to one (t, fidelity, imbalance, centroid) of `_measure` per run, in the
+    order of `runs`, "record" to one such row per record and "snapshot" to
+    one (t, density profile) per snapshot, both in time order.
     """
     spec = runs[0]
     t_star = spec.revival_time_s
@@ -592,20 +586,21 @@ def _walk(runs, sampled: bool = False):
     driver = _SplitStepDriver(spec, psi0_g,
                               [run.imprint.phase for run in runs],
                               [t_imp for t_imp, _ in schedule])
-    events = []
-    for i, (t_imp, total) in enumerate(schedule):
-        events += [(t_imp, "imprint", i), (total, "readout", i)]
-    if sampled:
-        for kind, count in (("record", spec.n_records),
-                            ("snapshot", spec.n_snapshots)):
-            events += [(t, kind, i) for i, t in
-                       enumerate(np.linspace(0.0, schedule[0][1], count))]
-    events.sort(key=lambda e: (e[0], e[1] != "imprint"))
-    measured, now, resume = [], 0.0, None
+    end = schedule[0][1]
+    times = {"imprint": [t_imp for t_imp, _ in schedule],
+             "readout": [total for _, total in schedule],
+             "record": np.linspace(0.0, end, spec.n_records * sampled),
+             "snapshot": np.linspace(0.0, end, spec.n_snapshots * sampled)}
+    # a stable sort keeps the kinds at one instant in the order of `times`
+    events = sorted(((t, kind, i) for kind, ts in times.items()
+                     for i, t in enumerate(ts)),
+                    key=lambda e: (e[0], e[1] != "imprint"))
+    measured = {kind: [None] * len(times[kind])
+                for kind in ("readout", "record", "snapshot")}
+    now, resume = 0.0, None
     if (store is not None and store.spec is spec
             and store.dt_factor == driver.dt_factor):
-        resume = store.before(next(t for t, kind, _ in events
-                                   if kind in ("imprint", "readout")))
+        resume = store.before(min(times["imprint"] + times["readout"]))
     for t, kind, i in events:
         if resume is not None and t < resume[0]:
             # a record or snapshot before the resume point
@@ -621,11 +616,9 @@ def _walk(runs, sampled: bool = False):
         if kind == "imprint":
             driver.imprint(i)
             continue
-        row = driver.values[i if kind == "readout" else 0]
-        if kind == "snapshot":
-            measured.append((t, kind, i, density_profile(GridState(row))))
-        else:
-            measured.append((t, kind, i, _measure(row, spec, psi0_s, t)))
+        grid = GridState(driver.values[i if kind == "readout" else 0])
+        measured[kind][i] = ((t, density_profile(grid)) if kind == "snapshot"
+                             else _measure(grid, spec, psi0_s, t))
     return t_star, driver.dt_factor, measured
 
 
@@ -636,21 +629,15 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     the optimized revival time) plus `timing_offset`; readout happens at the
     optimized revival time plus the same offset plus the pulse duration, so
     an offset models a late (or early, if negative) imprint-and-readout
-    pair.  Raises RevivalNotFoundError via the search when no revival lies
-    in the window, and InvalidParameterError when the pulse would fall
-    outside the run.
+    pair.  The run is one `_walk` of one run with its records and
+    snapshots, whose single readout gives the result's time, fidelity,
+    imbalance and centroid.  Raises RevivalNotFoundError via the search
+    when no revival lies in the window, and InvalidParameterError when the
+    pulse would fall outside the run.
     """
-    t_star, dt_factor, events = _walk([spec], sampled=True)
-    records = np.full((spec.n_records, 4), np.nan)
-    snapshot_times = [0.0] * spec.n_snapshots
-    snapshots = [None] * spec.n_snapshots
-    for t, kind, i, measured in events:
-        if kind == "record":
-            records[i] = (t,) + measured
-        elif kind == "snapshot":
-            snapshot_times[i], snapshots[i] = float(t), measured
-        else:
-            total, (fid, imbalance, centroid) = t, measured
+    t_star, dt_factor, measured = _walk([spec], sampled=True)
+    [(total, fid, imbalance, centroid)] = measured["readout"]
+    snapshots = measured["snapshot"]
     return ProtocolResult(
         spec=replace(spec, dt_factor=dt_factor),
         revival_time_s=t_star,
@@ -658,26 +645,30 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
         revival_fidelity=fid,
         imbalance=imbalance,
         centroid_angle=centroid,
-        records=records,
-        snapshot_times=tuple(snapshot_times),
-        snapshots=tuple(snapshots),
+        records=np.array(measured["record"], dtype=float).reshape(-1, 4),
+        snapshot_times=tuple(float(t) for t, _ in snapshots),
+        snapshots=tuple(profile for _, profile in snapshots),
     )
 
 
 def _scan(spec: ProtocolSpec, values, name: str, vary):
-    """(fidelity, imbalance, centroid) at the readout of `vary(spec, value)`.
+    """(values, readouts) of the runs `vary(spec, value)`.
 
-    One row per value, in order, from one walk of all the runs (see
+    `values` as floats and one (t, fidelity, imbalance, centroid) readout
+    per value, both in the order given, from one walk of all the runs (see
     `_walk`), which takes no records.
     """
-    values = [float(v) for v in values]
+    try:
+        values = [float(v) for v in np.asarray(values, dtype=float)]
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            "%s must be a sequence of numbers" % name) from None
     if not values:
         raise InvalidParameterError("%s must not be empty" % name)
     if not all(np.isfinite(values)):
         raise InvalidParameterError("%s must be finite" % name)
-    _, _, events = _walk([vary(spec, v) for v in values])
-    events.sort(key=lambda e: e[2])
-    return values, [measured for _, _, _, measured in events]
+    _, _, measured = _walk([vary(spec, v) for v in values])
+    return values, measured["readout"]
 
 
 def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
@@ -698,7 +689,7 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
     """
     phases, measured = _scan(spec, phases, "phases", lambda base, p: replace(
         base, imprint=replace(base.imprint, phase=p)))
-    return np.array([[p, m[1]] for p, m in zip(phases, measured)])
+    return np.array([[p, m[2]] for p, m in zip(phases, measured)])
 
 
 def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
@@ -720,4 +711,4 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     """
     offsets, measured = _scan(spec, offsets, "offsets", lambda base, o:
                               replace(base, timing_offset=o))
-    return np.array([[o, m[0], m[1]] for o, m in zip(offsets, measured)])
+    return np.array([[o, m[1], m[2]] for o, m in zip(offsets, measured)])

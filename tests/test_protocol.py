@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ringsim as rs
-from ringsim.propagator import BLANES_MOAN, STRANG, _SplitStepEngine
+from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
+                                step_count)
 
 
 def _phase_per_pair(scheme):
@@ -318,12 +319,31 @@ def test_sweep_phase_shape_and_order(trap):
     np.testing.assert_allclose(table[:, 1], -np.cos(phases), atol=1e-12)
 
 
+# scan values that are not a sequence of numbers
+_NOT_NUMBERS = {"string": [0.0, "x"], "none": [None], "bare-float": 1.0,
+                "digit-string": "12"}
+
+
 def test_sweep_phase_input_guards(trap):
     spec = _linear_spec(trap)
     with pytest.raises(rs.InvalidParameterError):
         rs.sweep_phase(spec, [])
     with pytest.raises(rs.InvalidParameterError):
         rs.sweep_phase(spec, [0.0, math.nan])
+    for values in _NOT_NUMBERS.values():
+        with pytest.raises(rs.InvalidParameterError, match="phases"):
+            rs.sweep_phase(spec, values)
+
+
+def test_timing_sensitivity_input_guards(trap):
+    spec = _linear_spec(trap)
+    with pytest.raises(rs.InvalidParameterError):
+        rs.timing_sensitivity(spec, [])
+    with pytest.raises(rs.InvalidParameterError):
+        rs.timing_sensitivity(spec, [0.0, math.inf])
+    for values in _NOT_NUMBERS.values():
+        with pytest.raises(rs.InvalidParameterError, match="offsets"):
+            rs.timing_sensitivity(spec, values)
 
 
 # --------------------------------------------------------------------------
@@ -741,19 +761,21 @@ def search_once(monkeypatch):
 
 def test_a_resumed_run_steps_from_the_checkpoints_and_leaves_them_unwritten(
         trap, search_once, monkeypatch):
-    # the second run reuses the first one's search, so its steps are the
+    # the second run reuses the first one's search, so its FFT pairs are the
     # walk's from the last checkpoint plus one replay per early record or
-    # snapshot, each from the nearest earlier checkpoint
+    # snapshot, each from the nearest earlier checkpoint; every call may
+    # round its interval up by at most one step
     spec = _searched_coupled(trap, n_records=30, n_snapshots=4)
     first = rs.run_protocol(spec)
     store = rs.protocol._search_checkpoints
     kept = [values.copy() for values in store.states]
-    steps = []
+    pairs = []
     propagate = _SplitStepEngine.propagate
+    per_step = len(BLANES_MOAN[1])
 
     def counted(engine, values, duration, dt, *args):
         if duration > 0:
-            steps.append(len(values) * max(1, round(duration / dt)))
+            pairs.append(len(values) * per_step * step_count(duration, dt))
         return propagate(engine, values, duration, dt, *args)
 
     monkeypatch.setattr(_SplitStepEngine, "propagate", counted)
@@ -769,7 +791,8 @@ def test_a_resumed_run_steps_from_the_checkpoints_and_leaves_them_unwritten(
     early = sum(int(np.sum(np.linspace(0.0, total, count) < t_pre))
                 for count in (spec.n_records, spec.n_snapshots))
     assert early > 0
-    assert sum(steps) <= (total - t_pre) / h + len(steps) + early * segment
+    assert sum(pairs) <= ((total - t_pre) / h + per_step * len(pairs)
+                          + early * segment)
 
 
 def test_an_imprint_at_the_checkpoint_instant_leaves_the_checkpoint_intact(

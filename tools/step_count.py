@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import os
 import sys
@@ -38,14 +39,21 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from ringsim import cli, protocol  # noqa: E402
-from ringsim.propagator import (STRANG, _SplitStepEngine,  # noqa: E402
-                                step_count)
+from ringsim.propagator import _SplitStepEngine, step_count  # noqa: E402
 
 PHASES = ("prepare", "search prefix", "search window", "record replay", "walk")
 
 
 def _rows(values) -> int:
     return values.shape[0] if values.ndim == 2 else 1
+
+
+def _arguments(fn, args, kwargs) -> dict:
+    """Every parameter of the call `fn(*args, **kwargs)` by name, defaults
+    filled in, so a wrapper reads the call as the engine sees it."""
+    call = inspect.signature(fn).bind(*args, **kwargs)
+    call.apply_defaults()
+    return call.arguments
 
 
 class StepCounter:
@@ -66,28 +74,29 @@ class StepCounter:
         return "record replay" if replay else "walk"
 
     def _propagate(self, original):
-        def propagate(engine, values, duration, dt, potential=None,
-                      flux_on=True, scheme=STRANG):
-            phase = self._phase(values)
-            out = original(engine, values, duration, dt, potential, flux_on,
-                           scheme)
+        def propagate(*args, **kwargs):
+            call = _arguments(original, args, kwargs)
+            phase = self._phase(call["values"])
+            out = original(*args, **kwargs)
+            duration, dt = call["duration"], call["dt"]
             if duration <= 0:
                 pairs = 0
-            elif engine.coupling == 0.0 and potential is None:
+            elif call["self"].coupling == 0.0 and call["potential"] is None:
                 pairs = 1
             else:
-                pairs = len(scheme[1]) * step_count(duration, dt)
-            self.pairs[phase] += _rows(values) * pairs
+                pairs = len(call["scheme"][1]) * step_count(duration, dt)
+            self.pairs[phase] += _rows(call["values"]) * pairs
             self.calls[phase] += 1
             self._last = (out, phase)
             return out
         return propagate
 
     def _relax(self, original):
-        def relax(engine, values, dtau, steps, potential=None):
-            self.pairs["prepare"] += _rows(values) * steps
+        def relax(*args, **kwargs):
+            call = _arguments(original, args, kwargs)
+            self.pairs["prepare"] += _rows(call["values"]) * call["steps"]
             self.calls["prepare"] += 1
-            return original(engine, values, dtau, steps, potential)
+            return original(*args, **kwargs)
         return relax
 
     def _in_phase(self, phase, fn):
