@@ -67,7 +67,7 @@ def main():
     spec = rs.ProtocolSpec(trap=trap, solver="linear", cutoff=128,
                            include_centrifugal=True,
                            search_resolution_factor=1e-9)
-    retimed = rs.find_revival_time(spec)
+    retimed = rs.find_revival_time(spec).time_s
     print("  ideal period      %.6f ms" % (ideal_period * 1e3))
     print("  best revival at   %.6f ms" % (retimed * 1e3))
     print("  fractional delay  %+.4f%%"

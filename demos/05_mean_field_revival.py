@@ -10,8 +10,8 @@ locates the revival with and without repulsion using the split-step solver,
 and finally runs one interacting interference sequence to show the fringe
 survives.
 
-Runtime: the interacting searches propagate the full nonlinear dynamics, so
-this demo takes roughly half a minute.
+Runtime: the interacting search and run propagate the full nonlinear
+dynamics at the derived step, so this demo takes about 5 s.
 
 Run:  python3 demos/05_mean_field_revival.py
 """
@@ -44,17 +44,17 @@ def main():
     linear_spec = rs.ProtocolSpec(trap=trap, solver="linear", cutoff=128,
                                   include_centrifugal=True,
                                   search_resolution_factor=1e-9)
-    t_free = rs.find_revival_time(linear_spec)
+    t_free = rs.find_revival_time(linear_spec).time_s
     print("  without interactions: %.6f ms  (%+.4f%% vs the ideal %.6f ms)"
           % (t_free * 1e3, (t_free / period - 1.0) * 100.0, period * 1e3))
 
     nonlinear_spec = rs.ProtocolSpec(trap=trap, solver="splitstep",
-                                     cutoff=128, grid_n=512, dt_factor=5e-6,
+                                     cutoff=128, grid_n=512,
                                      interaction=interaction,
                                      include_centrifugal=True,
                                      search_resolution_factor=1e-9)
     start = time.time()
-    t_int = rs.find_revival_time(nonlinear_spec)
+    t_int = rs.find_revival_time(nonlinear_spec).time_s
     print("  with repulsion:       %.6f ms  (%+.4f%% vs non-interacting), "
           "found in %.0f s"
           % (t_int * 1e3, (t_int / t_free - 1.0) * 100.0,
@@ -66,7 +66,7 @@ def main():
     imprint = rs.ImprintSpec(phase=math.pi / 3.0)
     nonlinear_run = rs.run_protocol(
         rs.ProtocolSpec(trap=trap, solver="splitstep", cutoff=128,
-                        grid_n=512, dt_factor=5e-6, interaction=interaction,
+                        grid_n=512, interaction=interaction,
                         include_centrifugal=True, revival_time_s=t_int,
                         imprint=imprint))
     linear_run = rs.run_protocol(

@@ -36,8 +36,8 @@ from .observables import (DensityProfile, circular_centroid, density_profile,
                           fidelity, population_imbalance,
                           window_snap_distance)
 from .protocol import (ImprintSpec, ProtocolResult, ProtocolSpec,
-                       find_revival_time, run_protocol, sweep_phase,
-                       timing_sensitivity)
+                       RevivalSearch, find_revival_time, run_protocol,
+                       sweep_phase, timing_sensitivity)
 from .sensing import (GaugeScenario, flux_action, gravitational_phase,
                       mean_density, min_detectable_field,
                       min_detectable_scattering_length, peak_density,
@@ -68,8 +68,8 @@ __all__ = [
     "step_nonlinear",
     "DensityProfile", "circular_centroid", "density_profile", "fidelity",
     "population_imbalance", "window_snap_distance",
-    "ImprintSpec", "ProtocolResult", "ProtocolSpec", "find_revival_time",
-    "run_protocol", "sweep_phase", "timing_sensitivity",
+    "ImprintSpec", "ProtocolResult", "ProtocolSpec", "RevivalSearch",
+    "find_revival_time", "run_protocol", "sweep_phase", "timing_sensitivity",
     "GaugeScenario", "flux_action", "gravitational_phase", "mean_density",
     "min_detectable_field", "min_detectable_scattering_length",
     "peak_density", "rotation_per_revival", "scattering_phase",

@@ -33,7 +33,8 @@ from .config import (ScenarioConfig, _format_value, build_protocol,
                      build_trap, from_defaults, from_file)
 from .constants import (BOHR_MAGNETON, BOHR_RADIUS, DEBYE,
                         ELEMENTARY_CHARGE, HBAR)
-from .errors import ConfigError, InvalidParameterError, RingError
+from .errors import (ConfigError, InvalidParameterError, NotApplicableError,
+                     RingError)
 from .propagator import InteractionSpec
 from .protocol import ProtocolSpec, run_protocol, sweep_phase, \
     timing_sensitivity
@@ -194,7 +195,10 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     phi_g = gravitational_phase(config.sense_tilt_angle_rad, trap)
     phi_a = scattering_phase(config.scattering_length_a0 * BOHR_RADIUS,
                              n_peak, trap)
-    b_min = min_detectable_field(resolution, charge, trap)
+    try:
+        b_min = min_detectable_field(resolution, charge, trap)
+    except NotApplicableError as exc:
+        raise ConfigError("sense_charge_e = 0: %s" % exc) from None
     da_min = min_detectable_scattering_length(
         config.sense_phase_resolution_rad, n_peak, trap)
 

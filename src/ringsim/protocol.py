@@ -26,7 +26,7 @@ protocol driver, `_SplitStepDriver`, which every run uses whatever its solver.
 A run and a scan (`sweep_phase`, `timing_sensitivity`) are one walk of that
 driver: the runs share a single state to the first imprint, then step as
 one batch with one fixed row per scanned value until the last readout, each
-read out at its own time.  A split-step revival search keeps checkpoints
+read out at its own time.  A split-step revival search returns checkpoints
 from release to half the window's lower edge; the walk that follows it
 resumes from the latest one no later than its first imprint, and measures
 each earlier record or snapshot from the nearest earlier checkpoint, where
@@ -324,28 +324,26 @@ SEARCH_CHECKPOINTS = 200
 
 
 @dataclass(frozen=True, eq=False)
-class _SearchCheckpoints:
-    """The latest split-step revival search's states from release on.
+class RevivalSearch:
+    """Outcome of one revival search (see `find_revival_time`).
 
-    `times` (s) are release and the SEARCH_CHECKPOINTS segment ends up to
-    half the window's lower edge, each a whole number of the search's steps
-    of `dt_factor`; `states` are the read-only single-row values at those
-    times.  `spec` is the searched spec object, the key a walk matches by
-    identity: `find_revival_time` returns only the time.
+    `time_s` is the revival time.  A split-step search also returns its
+    imprint-free trajectory: `times` (s) are release and the
+    SEARCH_CHECKPOINTS segment ends up to half the window's lower edge,
+    each a whole number of the search's steps of `dt_factor`, and `states`
+    the read-only single-row values at those times.  A linear search keeps
+    none: `dt_factor` is None and both tuples are empty.
     """
 
-    spec: ProtocolSpec
-    dt_factor: float
-    times: tuple
-    states: tuple
+    time_s: float
+    dt_factor: float | None = None
+    times: tuple = ()
+    states: tuple = ()
 
     def before(self, t: float):
         """(time, values) of the latest checkpoint no later than t."""
         i = bisect_right(self.times, t) - 1
         return self.times[i], self.states[i]
-
-
-_search_checkpoints = None
 
 
 def _splitstep_objective(spec: ProtocolSpec):
@@ -354,13 +352,12 @@ def _splitstep_objective(spec: ProtocolSpec):
     The advance from release to half the window's lower edge, before the
     default imprint time T*/2 of every T* in the window, is cut into
     SEARCH_CHECKPOINTS segments: of its n steps, segment k ends at step
-    round(k n / SEARCH_CHECKPOINTS).  Those states are kept in
-    `_search_checkpoints` for the walk that follows the search.  Every
-    queried time then becomes a checkpoint too, so a golden-section search
-    that keeps narrowing its bracket only ever propagates the short gap
-    from the nearest earlier checkpoint instead of restarting from release.
+    round(k n / SEARCH_CHECKPOINTS).  Returns (objective, (dt_factor,
+    times, states)), the checkpoints of a `RevivalSearch`.  Every queried
+    time then becomes a checkpoint too, so a golden-section search that
+    keeps narrowing its bracket only ever propagates the short gap from the
+    nearest earlier checkpoint instead of restarting from release.
     """
-    global _search_checkpoints
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g)
     t_pre = 0.5 * spec.search_window[0] * revival_time(spec.trap)
@@ -373,8 +370,7 @@ def _splitstep_objective(spec: ProtocolSpec):
         states.append(driver.values)
     for values in states:
         values.flags.writeable = False
-    _search_checkpoints = _SearchCheckpoints(spec, driver.dt_factor,
-                                             tuple(times), tuple(states))
+    checkpoints = (driver.dt_factor, tuple(times), tuple(states))
 
     def objective(t: float) -> float:
         i = bisect_right(times, t) - 1
@@ -386,26 +382,27 @@ def _splitstep_objective(spec: ProtocolSpec):
         return _revival_fidelity(GridState(driver.values[0]), spec, psi0_s,
                                  t)
 
-    return objective
+    return objective, checkpoints
 
 
 def _revival_objective(spec: ProtocolSpec):
-    """Fidelity-vs-time callable for the phase-free revival search.
+    """(fidelity-vs-time callable, checkpoints) for the revival search.
 
     The target corotates with the flux, so a constant flux cancels exactly
     from the objective; the linear branch therefore evolves the packet
-    spectrally without it and compares with the plain half-turn image.
+    spectrally without it, compares with the plain half-turn image and
+    keeps no checkpoints.
     """
     if spec.solver == "splitstep":
         return _splitstep_objective(spec)
     model = spec.dispersion_model()
     psi0, _ = _prepare(spec)
     target = rotate(psi0, np.pi)
-    return lambda t: fidelity(target, evolve_linear(psi0, t, model))
+    return lambda t: fidelity(target, evolve_linear(psi0, t, model)), ()
 
 
-def find_revival_time(spec: ProtocolSpec) -> float:
-    """Locate the full-revival readout time (s) by fidelity maximization.
+def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
+    """Locate the full-revival readout time by fidelity maximization.
 
     Runs the imprint-free protocol and maximizes the overlap with the
     half-turn (plus flux corotation) image of the initial packet.  The
@@ -414,12 +411,13 @@ def find_revival_time(spec: ProtocolSpec) -> float:
     1 / omega_perp brackets the highest sampled peak, then golden-section
     refines it to `spec.search_resolution_factor` times the ideal period.
     If the best coarse fidelity does not exceed SEARCH_FIDELITY_FLOOR a
-    RevivalNotFoundError is raised rather than refining noise.
+    RevivalNotFoundError is raised rather than refining noise.  Returns the
+    time (s) with a split-step search's checkpoints, as a `RevivalSearch`.
     """
     ideal = revival_time(spec.trap)
     lo, hi = (edge * ideal for edge in spec.search_window)
     resolution = spec.search_resolution_factor * ideal
-    objective = _revival_objective(spec)
+    objective, checkpoints = _revival_objective(spec)
     pitch = 0.25 / spec.trap.omega_perp
     count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
     times = np.linspace(lo, hi, count)
@@ -432,7 +430,8 @@ def find_revival_time(spec: ProtocolSpec) -> float:
             % (SEARCH_FIDELITY_FLOOR, lo, hi, coarse[best]))
     bracket_lo = times[max(best - 1, 0)]
     bracket_hi = times[min(best + 1, count - 1)]
-    return _golden_max(objective, bracket_lo, bracket_hi, resolution)
+    return RevivalSearch(_golden_max(objective, bracket_lo, bracket_hi,
+                                     resolution), *checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +558,8 @@ def _walk(runs, sampled: bool = False):
     the timing offset; the revival time is resolved once, from `runs[0]`.
     When the walk searched for it and steps at the search's dt_factor, it
     resumes from the search's latest checkpoint no later than the first
-    imprint or readout (see `_splitstep_objective`); otherwise it walks
-    from release.  A record or snapshot before that checkpoint is measured
+    imprint or readout (see `RevivalSearch`); otherwise it walks from
+    release.  A record or snapshot before that checkpoint is measured
     by stepping the nearest earlier checkpoint to its own time.  A resumed
     or replayed state differs from one walked from release by the
     re-tiling of its steps at the checkpoint, the O(dt^4) step error.  Each
@@ -576,11 +575,8 @@ def _walk(runs, sampled: bool = False):
     one (t, density profile) per snapshot, both in time order.
     """
     spec = runs[0]
-    t_star = spec.revival_time_s
-    store = None
-    if t_star is None:
-        t_star = find_revival_time(spec)
-        store = _search_checkpoints
+    store = find_revival_time(spec) if spec.revival_time_s is None else None
+    t_star = spec.revival_time_s if store is None else store.time_s
     schedule = [_schedule(run, t_star) for run in runs]
     psi0_s, psi0_g = _prepare(spec)
     driver = _SplitStepDriver(spec, psi0_g,
@@ -598,8 +594,7 @@ def _walk(runs, sampled: bool = False):
     measured = {kind: [None] * len(times[kind])
                 for kind in ("readout", "record", "snapshot")}
     now, resume = 0.0, None
-    if (store is not None and store.spec is spec
-            and store.dt_factor == driver.dt_factor):
+    if store is not None and store.dt_factor == driver.dt_factor:
         resume = store.before(min(times["imprint"] + times["readout"]))
     for t, kind, i in events:
         if resume is not None and t < resume[0]:

@@ -249,9 +249,10 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
 @pytest.mark.parametrize("command, change", [
     ("sense", ("atom_number = 20000", "atom_number = -1")),
     ("sense", ("", "sense_phase_resolution_rad = 0")),
+    ("sense", ("", "sense_charge_e = 0")),
     ("revival", ("", "packet_width = 0.02")),
     ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000")),
-], ids=["negative-atom-number", "zero-phase-resolution",
+], ids=["negative-atom-number", "zero-phase-resolution", "neutral-charge",
         "cutoff-too-small-for-the-packet", "pulse-before-release"])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
                                             change):

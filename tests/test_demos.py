@@ -1,8 +1,7 @@
 """Smoke test: the demo scripts run warning-free and write their CSV.
 
-Demo 05 is left out: it relaxes and steps a mean-field packet for about
-30 s on a 2-core machine, longer than the rest of this suite's budget for
-a smoke test.
+Demo 05 prints its figures and writes no CSV, so it is checked for a clean
+exit alone.
 """
 import os
 import pathlib
@@ -18,6 +17,7 @@ DEMOS = {
     "02_interference_fringe.py": "interference_fringe.csv",
     "03_torus_spectrum.py": "torus_spectrum.csv",
     "04_gauge_flux_rotation.py": "gauge_rotations.csv",
+    "05_mean_field_revival.py": None,
     "06_timing_and_sensing.py": "sensing_figures.csv",
 }
 
@@ -29,4 +29,5 @@ def test_demo_runs_and_writes_its_csv(tmp_path, script):
         [sys.executable, "-W", "error", str(ROOT / "demos" / script)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "demo_output" / DEMOS[script]).stat().st_size > 0
+    if DEMOS[script] is not None:
+        assert (tmp_path / "demo_output" / DEMOS[script]).stat().st_size > 0

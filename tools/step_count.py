@@ -110,8 +110,9 @@ class StepCounter:
 
     def _objective(self, original):
         def splitstep_objective(spec):
-            objective = self._in_phase("search prefix", original)(spec)
-            return self._in_phase("search window", objective)
+            objective, checkpoints = self._in_phase("search prefix",
+                                                    original)(spec)
+            return self._in_phase("search window", objective), checkpoints
         return splitstep_objective
 
     @contextlib.contextmanager
