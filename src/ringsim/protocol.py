@@ -385,22 +385,6 @@ def _splitstep_objective(spec: ProtocolSpec):
     return objective, checkpoints
 
 
-def _revival_objective(spec: ProtocolSpec):
-    """(fidelity-vs-time callable, checkpoints) for the revival search.
-
-    The target corotates with the flux, so a constant flux cancels exactly
-    from the objective; the linear branch therefore evolves the packet
-    spectrally without it, compares with the plain half-turn image and
-    keeps no checkpoints.
-    """
-    if spec.solver == "splitstep":
-        return _splitstep_objective(spec)
-    model = spec.dispersion_model()
-    psi0, _ = _prepare(spec)
-    target = rotate(psi0, np.pi)
-    return lambda t: fidelity(target, evolve_linear(psi0, t, model)), ()
-
-
 def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     """Locate the full-revival readout time by fidelity maximization.
 
@@ -412,12 +396,22 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     refines it to `spec.search_resolution_factor` times the ideal period.
     If the best coarse fidelity does not exceed SEARCH_FIDELITY_FLOOR a
     RevivalNotFoundError is raised rather than refining noise.  Returns the
-    time (s) with a split-step search's checkpoints, as a `RevivalSearch`.
+    time (s) with a split-step search's checkpoints, as a `RevivalSearch`;
+    a linear search evolves the packet spectrally and keeps none.
     """
     ideal = revival_time(spec.trap)
     lo, hi = (edge * ideal for edge in spec.search_window)
     resolution = spec.search_resolution_factor * ideal
-    objective, checkpoints = _revival_objective(spec)
+    if spec.solver == "splitstep":
+        objective, checkpoints = _splitstep_objective(spec)
+    else:
+        # the target corotates with the flux, so a constant flux cancels
+        # exactly: evolve without it against the plain half-turn image
+        model = spec.dispersion_model()
+        psi0, _ = _prepare(spec)
+        target = rotate(psi0, np.pi)
+        objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
+        checkpoints = ()
     pitch = 0.25 / spec.trap.omega_perp
     count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
     times = np.linspace(lo, hi, count)
@@ -551,7 +545,7 @@ def _measure(grid: GridState, spec: ProtocolSpec, psi0: SpectralState,
     return t, _revival_fidelity(grid, spec, psi0, t), imbalance, centroid
 
 
-def _walk(runs, sampled: bool = False):
+def _walk(runs):
     """Step `runs` as one batch to the last readout.
 
     The runs share every field of `runs[0]` except the imprint phase and
@@ -565,9 +559,9 @@ def _walk(runs, sampled: bool = False):
     re-tiling of its steps at the checkpoint, the O(dt^4) step error.  Each
     run is imprinted at its pulse start and read out at its readout time;
     at one instant the imprints act first, then the readouts, records and
-    snapshots.  `sampled` adds the `n_records` records and `n_snapshots`
-    snapshots of `runs[0]`, evenly from release to its readout, for a
-    single run.
+    snapshots.  The `n_records` records and `n_snapshots` snapshots of
+    `runs[0]` are taken evenly from release to its readout; `_scan` passes
+    runs that ask for none.
 
     Returns (revival time, dt_factor, measured): `measured` maps "readout"
     to one (t, fidelity, imbalance, centroid) of `_measure` per run, in the
@@ -585,8 +579,8 @@ def _walk(runs, sampled: bool = False):
     end = schedule[0][1]
     times = {"imprint": [t_imp for t_imp, _ in schedule],
              "readout": [total for _, total in schedule],
-             "record": np.linspace(0.0, end, spec.n_records * sampled),
-             "snapshot": np.linspace(0.0, end, spec.n_snapshots * sampled)}
+             "record": np.linspace(0.0, end, spec.n_records),
+             "snapshot": np.linspace(0.0, end, spec.n_snapshots)}
     # a stable sort keeps the kinds at one instant in the order of `times`
     events = sorted(((t, kind, i) for kind, ts in times.items()
                      for i, t in enumerate(ts)),
@@ -630,7 +624,7 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     when no revival lies in the window, and InvalidParameterError when the
     pulse would fall outside the run.
     """
-    t_star, dt_factor, measured = _walk([spec], sampled=True)
+    t_star, dt_factor, measured = _walk([spec])
     [(total, fid, imbalance, centroid)] = measured["readout"]
     snapshots = measured["snapshot"]
     return ProtocolResult(
@@ -651,7 +645,8 @@ def _scan(spec: ProtocolSpec, values, name: str, vary):
 
     `values` as floats and one (t, fidelity, imbalance, centroid) readout
     per value, both in the order given, from one walk of all the runs (see
-    `_walk`), which takes no records.
+    `_walk`).  The runs take no records or snapshots: `spec` is stripped of
+    them before `vary`.
     """
     try:
         values = [float(v) for v in np.asarray(values, dtype=float)]
@@ -662,6 +657,7 @@ def _scan(spec: ProtocolSpec, values, name: str, vary):
         raise InvalidParameterError("%s must not be empty" % name)
     if not all(np.isfinite(values)):
         raise InvalidParameterError("%s must be finite" % name)
+    spec = replace(spec, n_records=0, n_snapshots=0)
     _, _, measured = _walk([vary(spec, v) for v in values])
     return values, measured["readout"]
 
@@ -673,8 +669,8 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
     experiment that calibrates timing before scanning the signal phase.
     The runs share their walk to the imprint, from the revival search's
     latest checkpoint before it when the search ran (see `_walk`), and then
-    step as one batch, one row per phase, taking no records or snapshots
-    whatever `spec.n_records` and `spec.n_snapshots` say.  Each row equals
+    step as one batch, one row per phase.  `_scan` strips the spec's
+    records and snapshots, so none are taken.  Each row equals
     the record-free `run_protocol` of its phase to rounding: bitwise with a
     mean-field coupling, since every row then takes the same steps.  A row
     moves from its own run by the O(dt^4) step error where the two step
@@ -695,11 +691,10 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     the scan isolates pure timing error from retiming.  The runs share their
     walk to the earliest imprint, from the revival search's latest
     checkpoint before it when the search ran (see `_walk`), and then step
-    as one batch, each imprinted and read out
-    at its own time, taking no records or snapshots whatever
-    `spec.n_records` and `spec.n_snapshots` say.  No row leaves the batch
-    at its readout: every row steps on until the latest one, so the scan
-    takes extra steps over the spread of `offsets`.  Every
+    as one batch, each imprinted and read out at its own time.  `_scan`
+    strips the spec's records and snapshots, so none are taken.  No row
+    leaves the batch at its readout: every row steps on until the latest
+    one, so the scan takes extra steps over the spread of `offsets`.  Every
     row's interval is cut at every other row's instants, so where split
     steps are taken (a coupling or a pulse) a row differs from its own
     `run_protocol` by the O(dt^4) step error, not by rounding only.

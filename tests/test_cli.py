@@ -252,8 +252,10 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
     ("sense", ("", "sense_charge_e = 0")),
     ("revival", ("", "packet_width = 0.02")),
     ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000")),
+    ("revival", ("", "imprint_time_ms = 500")),
 ], ids=["negative-atom-number", "zero-phase-resolution", "neutral-charge",
-        "cutoff-too-small-for-the-packet", "pulse-before-release"])
+        "cutoff-too-small-for-the-packet", "pulse-before-release",
+        "pulse-after-readout"])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
                                             change):
     # a value the config parser accepts but the physics layer rejects is

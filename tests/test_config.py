@@ -165,12 +165,14 @@ def test_build_trap_gives_back_the_dimensionless_tilt():
 def test_build_protocol_carries_the_settings():
     cfg = rs.from_text(_minimal_text(imprint_phase_rad="0.7",
                                      flux_rotation_rad="0.3",
+                                     imprint_time_ms="70",
                                      n_records="5"))
     spec = rs.build_protocol(cfg, n_snapshots=2)
     assert spec.solver == "linear"
     assert spec.cutoff == 64
     assert spec.grid_n == 256
     assert spec.imprint.phase == 0.7
+    assert spec.imprint.application_time == pytest.approx(0.07)
     assert spec.flux is not None
     assert spec.flux.angle_per_revival() == pytest.approx(0.3, rel=1e-12)
     assert spec.n_records == 5

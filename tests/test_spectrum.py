@@ -158,6 +158,30 @@ def test_ellipticity_comparison_documents_discrepancy(trap):
     assert float(np.max(np.abs(bare - fitted))) < 1e-3
 
 
+def test_every_correction_adds_its_closed_form_on_and_off_the_ladder(trap):
+    # tilt, centrifugal and ellipticity on together: the model is the ideal
+    # dispersion plus each closed form, on its ladder and at every harmonic
+    # of a 256-point grid, which split-step runs read through internal_at
+    t2 = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
+                     omega_perp=trap.omega_perp,
+                     tilt_amplitude=0.05 * trap.energy_unit,
+                     eccentricity=0.05)
+    model = rs.corrected_dispersion(t2, 64, tilt=True, centrifugal=True,
+                                    ellipticity=True)
+    scale = rs.HBAR ** 2 / (2.0 * t2.mass * t2.radius ** 2)
+
+    def closed_forms(ells):
+        return (scale * ells.astype(float) ** 2 + rs.tilt_shift(t2, ells)
+                + rs.centrifugal_shift(t2, ells)
+                + rs.ellipticity_shift(t2, ells))
+
+    np.testing.assert_allclose(model.energies_si, closed_forms(model.ells),
+                               rtol=1e-12, atol=0)
+    harmonics = np.arange(-128, 128)
+    np.testing.assert_allclose(model.internal_at(harmonics) * t2.energy_unit,
+                               closed_forms(harmonics), rtol=1e-12, atol=0)
+
+
 def test_dispersion_model_guards(trap):
     with pytest.raises(rs.InvalidParameterError):
         rs.DispersionModel(trap=trap, cutoff=0)
