@@ -27,7 +27,7 @@ def density_strip(state, cells=64):
 def main():
     trap = rs.TrapSpec(mass=rs.K39_MASS_KG, radius=5.9e-6, omega_perp=6.4e3)
     period = rs.revival_time(trap)
-    model = rs.ideal_dispersion(trap, 128)
+    model = rs.DispersionModel(trap, 128)
     packet = rs.gaussian_packet(0.0, 0.121, 128)
     far = rs.rotate(packet, math.pi)
 

@@ -34,7 +34,7 @@ def main():
     print()
 
     modes = np.arange(0, 26)
-    ideal = rs.ideal_dispersion(trap, 25).energies_si[25:]  # modes 0..25
+    ideal = rs.DispersionModel(trap, 25).energies_si[25:]  # modes 0..25
     tilt = rs.tilt_shift(trap, modes)
     zero_point = 0.5 * rs.HBAR * trap.omega_perp
     quartic = rs.centrifugal_shift(trap, modes) - zero_point

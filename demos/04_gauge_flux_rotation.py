@@ -48,7 +48,7 @@ def main():
     print()
     print("watching the rotation happen (exact spectral evolution):")
     packet = rs.gaussian_packet(0.0, 0.121, 128)
-    model = rs.ideal_dispersion(trap, 128)
+    model = rs.DispersionModel(trap, 128)
     theta = 0.37
     flux = rs.FluxSpec(action=theta * rs.HBAR)
     evolved = rs.evolve_linear(packet, period, model, flux=flux)

@@ -25,9 +25,8 @@ from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
 from .spectrum import (DispersionModel, EllipticityComparison, TrapSpec,
                        centrifugal_displacement, centrifugal_shift,
-                       corrected_dispersion, ellipticity_comparison,
-                       ellipticity_shift, ellipticity_shift_oracle,
-                       ideal_dispersion, revival_time, tilt_shift,
+                       ellipticity_comparison, ellipticity_shift,
+                       ellipticity_shift_oracle, revival_time, tilt_shift,
                        tilt_shift_oracle)
 from .propagator import (FluxSpec, InteractionSpec, evolve_linear,
                          ground_state_imaginary_time,
@@ -59,10 +58,10 @@ __all__ = [
     "GridState", "SpectralState", "gaussian_packet", "rotate", "to_grid",
     "to_spectral",
     "DispersionModel", "EllipticityComparison", "TrapSpec",
-    "centrifugal_displacement", "centrifugal_shift", "corrected_dispersion",
+    "centrifugal_displacement", "centrifugal_shift",
     "ellipticity_comparison", "ellipticity_shift",
-    "ellipticity_shift_oracle", "ideal_dispersion", "revival_time",
-    "tilt_shift", "tilt_shift_oracle",
+    "ellipticity_shift_oracle", "revival_time", "tilt_shift",
+    "tilt_shift_oracle",
     "FluxSpec", "InteractionSpec", "evolve_linear",
     "ground_state_imaginary_time", "half_revival_superposition",
     "step_nonlinear",

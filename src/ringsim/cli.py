@@ -42,8 +42,8 @@ from .sensing import (GaugeScenario, flux_action, gravitational_phase,
                       mean_density, min_detectable_field,
                       min_detectable_scattering_length, peak_density,
                       rotation_per_revival, scattering_phase)
-from .spectrum import (centrifugal_shift, ellipticity_shift,
-                       ideal_dispersion, revival_time, tilt_shift)
+from .spectrum import (DispersionModel, centrifugal_shift, ellipticity_shift,
+                       revival_time, tilt_shift)
 
 TWO_PI = 2.0 * np.pi
 
@@ -151,7 +151,7 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     trap = build_trap(config)
     cutoff = config.cutoff
     ells = np.arange(-cutoff, cutoff + 1)
-    ideal_si = ideal_dispersion(trap, cutoff).energies_si
+    ideal_si = DispersionModel(trap, cutoff).energies_si
     tilt_si = tilt_shift(trap, ells)
     # report the mode-dependent part only: the transverse zero point is a
     # constant offset that never moves a revival

@@ -153,8 +153,8 @@ def evolve_linear(state: SpectralState, duration: float,
     exp(-i E(ell) t / hbar - i theta_f(t) ell).  The model cutoff must match
     the state cutoff so no amplitude is left without an energy.
     """
-    if duration < 0:
-        raise InvalidParameterError("duration must be >= 0")
+    if not 0 <= duration < math.inf:
+        raise InvalidParameterError("duration must be finite and >= 0")
     if model.cutoff != state.cutoff:
         raise InvalidParameterError(
             "dispersion cutoff %d does not match state cutoff %d"
@@ -243,9 +243,9 @@ class _SplitStepEngine:
         if peak >= LOCAL_PHASE_LIMIT:
             raise StepSizeError(
                 "local phase advance %.3g rad per substep reaches the limit "
-                "%.2g rad; lower dt_factor (config key dt_rev_factor) or "
-                "leave it unset (auto) to derive the step from the coupling "
-                "and the pulse" % (peak, LOCAL_PHASE_LIMIT))
+                "%.2g rad; lower dt in step_nonlinear, or dt_factor (config "
+                "key dt_rev_factor; auto derives it from the coupling and "
+                "the pulse) in a protocol run" % (peak, LOCAL_PHASE_LIMIT))
 
     def propagate(self, values: np.ndarray, duration: float, dt: float,
                   potential=None, flux_on: bool = True,
@@ -389,14 +389,16 @@ def ground_state_imaginary_time(trap: TrapSpec,
     exhausted first, or immediately if `tolerance` is not positive (an
     energy drift can never fall below a non-positive bound).
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ConvergenceError("tolerance must be positive: per-step energy "
                                "drift cannot reach a non-positive bound")
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
     wf = trap.omega_perp if well_frequency is None else well_frequency
-    if wf <= 0:
-        raise InvalidParameterError("well_frequency must be positive")
+    if not 0 < wf < math.inf:
+        raise InvalidParameterError("well_frequency must be finite and > 0")
+    if not math.isfinite(well_center):
+        raise InvalidParameterError("well_center must be finite")
     wf_int = wf * trap.time_unit
     dtau = 1e-3 / wf_int
     engine = _SplitStepEngine(DispersionModel(trap=trap, cutoff=1), grid_n,

@@ -52,7 +52,7 @@ from .propagator import (BLANES_MOAN, TWO_PI, FluxSpec, InteractionSpec,
                          _SplitStepEngine, evolve_linear,
                          ground_state_imaginary_time, local_phase_per_pair,
                          step_count)
-from .spectrum import TrapSpec, corrected_dispersion, revival_time
+from .spectrum import DispersionModel, TrapSpec, revival_time
 from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
 
@@ -247,10 +247,9 @@ class ProtocolSpec:
 
     def dispersion_model(self):
         """Dispersion with this run's correction terms switched in."""
-        return corrected_dispersion(self.trap, self.cutoff,
-                                    tilt=self.include_tilt,
-                                    centrifugal=self.include_centrifugal,
-                                    ellipticity=self.include_ellipticity)
+        return DispersionModel(self.trap, self.cutoff, self.include_tilt,
+                               self.include_centrifugal,
+                               self.include_ellipticity)
 
 
 @dataclass(frozen=True, eq=False)

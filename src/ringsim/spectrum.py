@@ -150,6 +150,14 @@ def _ellipticity_internal(ells, omega_internal: float,
 # ---------------------------------------------------------------------------
 # SI-facing closed forms
 
+def _warn_beyond_tilt_limit(v0: float, stacklevel: int) -> None:
+    if v0 >= TILT_PERTURBATIVE_LIMIT:
+        warnings.warn(
+            "tilt amplitude %.3g (internal) exceeds the perturbative trust "
+            "region (< %.2f)" % (v0, TILT_PERTURBATIVE_LIMIT),
+            PerturbationValidityWarning, stacklevel=stacklevel)
+
+
 def tilt_shift(trap: TrapSpec, ells) -> np.ndarray:
     """Second-order energy shift (J) from the once-around tilt potential.
 
@@ -157,13 +165,8 @@ def tilt_shift(trap: TrapSpec, ells) -> np.ndarray:
     ell = 0, where it equals -V0^2 in internal units.  Valid while the
     dimensionless amplitude stays well below the unit rotational splitting.
     """
-    v0 = trap.tilt_internal
-    if v0 >= TILT_PERTURBATIVE_LIMIT:
-        warnings.warn(
-            "tilt amplitude %.3g (internal) exceeds the perturbative trust "
-            "region (< %.2f)" % (v0, TILT_PERTURBATIVE_LIMIT),
-            PerturbationValidityWarning, stacklevel=2)
-    return _tilt_internal(ells, v0) * trap.energy_unit
+    _warn_beyond_tilt_limit(trap.tilt_internal, stacklevel=3)
+    return _tilt_internal(ells, trap.tilt_internal) * trap.energy_unit
 
 
 def centrifugal_displacement(trap: TrapSpec, ells) -> np.ndarray:
@@ -205,8 +208,13 @@ def ellipticity_shift(trap: TrapSpec, ells) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DispersionModel:
-    """Dispersion E(ell) for the ladder |ell| <= cutoff.
+    """Dispersion E(ell) for the ladder |ell| <= cutoff: the ideal ring's
+    with every toggle off, plus each diagonal correction switched in.
 
+    The transverse channel stays in its ground state (k = 0); its constant
+    zero-point offset is kept and only ever contributes a global phase.
+    With the tilt term on, a tilt amplitude of zero, or of
+    TILT_PERTURBATIVE_LIMIT or more, warns PerturbationValidityWarning.
     `energies` is dimensionless (internal units); `energies_si` converts.
     `internal_at` evaluates the same dispersion at any ladder index, which
     split-step propagation uses for grid harmonics above the state cutoff.
@@ -222,6 +230,11 @@ class DispersionModel:
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise InvalidParameterError("cutoff must be a positive integer")
+        if self.includes_tilt:
+            if self.trap.tilt_internal == 0.0:
+                warnings.warn("tilt correction enabled with zero amplitude",
+                              PerturbationValidityWarning, stacklevel=3)
+            _warn_beyond_tilt_limit(self.trap.tilt_internal, stacklevel=4)
         energies = self.internal_at(self.ells)
         energies.setflags(write=False)
         object.__setattr__(self, "energies", energies)
@@ -245,29 +258,6 @@ class DispersionModel:
             e = e + _ellipticity_internal(ells, self.trap.omega_internal,
                                           self.trap.eccentricity)
         return e
-
-
-def ideal_dispersion(trap: TrapSpec, cutoff: int) -> DispersionModel:
-    """Pure quadratic dispersion of the perfect ring."""
-    return DispersionModel(trap=trap, cutoff=cutoff)
-
-
-def corrected_dispersion(trap: TrapSpec, cutoff: int, *,
-                         tilt: bool = False, centrifugal: bool = False,
-                         ellipticity: bool = False) -> DispersionModel:
-    """Quadratic dispersion plus the selected diagonal corrections.
-
-    The transverse channel is kept in its ground state (k = 0); its constant
-    zero-point offset is retained and only ever contributes a global phase.
-    With every toggle off the model equals `ideal_dispersion` exactly.
-    """
-    if tilt and trap.tilt_internal == 0.0:
-        warnings.warn("tilt correction enabled with zero amplitude",
-                      PerturbationValidityWarning, stacklevel=2)
-    return DispersionModel(trap=trap, cutoff=cutoff,
-                           includes_tilt=tilt,
-                           includes_centrifugal=centrifugal,
-                           includes_ellipticity=ellipticity)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def _linear_spec(trap, **kw):
 
 def test_criterion_01_free_evolution_closes_after_two_periods(trap,
                                                               revival_s):
-    model = rs.ideal_dispersion(trap, 128)
+    model = rs.DispersionModel(trap, 128)
     packets = [rs.gaussian_packet(center, width, 128)
                for center, width in ((0.0, 0.05), (1.0, 0.121),
                                      (-2.5, 0.3), (3.0, 0.18))]
@@ -44,7 +44,7 @@ def test_criterion_01_free_evolution_closes_after_two_periods(trap,
 
 
 def test_criterion_02_one_period_acts_as_a_half_turn(trap, revival_s):
-    model = rs.ideal_dispersion(trap, 128)
+    model = rs.DispersionModel(trap, 128)
     packet = rs.gaussian_packet(0.3, 0.121, 128)
     fid = rs.fidelity(rs.rotate(packet, math.pi),
                       rs.evolve_linear(packet, revival_s, model))
@@ -55,7 +55,7 @@ def test_criterion_02_one_period_acts_as_a_half_turn(trap, revival_s):
 
 def test_criterion_03_half_period_acts_as_a_balanced_splitter(trap,
                                                               revival_s):
-    model = rs.ideal_dispersion(trap, 128)
+    model = rs.DispersionModel(trap, 128)
     packet = rs.gaussian_packet(0.3, 0.121, 128)
     evolved = rs.evolve_linear(packet, 0.5 * revival_s, model)
     target = (np.exp(-1j * math.pi / 4.0)
@@ -301,7 +301,7 @@ def test_criterion_10_sensing_figures(trap):
 
 
 def test_criterion_11_numerical_hygiene(trap, tmp_path):
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)

@@ -106,6 +106,39 @@ def test_error_messages_name_the_key():
         rs.from_text(_minimal_text(cutoff="2.5"))
 
 
+# each builds a configuration with one bad value and names its key:
+# (key in the message, call)
+_BAD_VALUES = {
+    "readout-weight": ("readout_weight", lambda: rs.from_text(
+        _minimal_text(readout_weight="boxcar"))),
+    "sweep-phi-count": ("sweep_phi_count", lambda: rs.from_text(
+        _minimal_text(sweep_phi_count="0"))),
+    "n-records": ("n_records", lambda: rs.from_text(
+        _minimal_text(n_records="-1"))),
+    "no-timing-offsets": ("timing_offsets_us", lambda: rs.ScenarioConfig(
+        timing_offsets_us=())),
+    "no-sweep-variants": ("sweep_variants", lambda: rs.ScenarioConfig(
+        sweep_variants=())),
+    "non-finite-number": ("radius_um", lambda: rs.from_text(
+        _minimal_text(radius_um="nan"))),
+    "bad-boolean": ("correct_tilt", lambda: rs.from_text(
+        _minimal_text(correct_tilt="maybe"))),
+    "empty-list": ("timing_offsets_us", lambda: rs.from_text(
+        _minimal_text(timing_offsets_us=","))),
+    "no-frequency-key": ("omega_perp_krad_s", lambda: rs.from_text(
+        _minimal_text().replace("omega_perp_krad_s = 6.4\n", ""))),
+    "zero-mass": ("mass_u", lambda: rs.build_trap(rs.from_text(
+        _minimal_text(mass_u="0")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+def test_bad_values_fail_naming_their_key(case):
+    key, call = _BAD_VALUES[case]
+    with pytest.raises(rs.ConfigError, match=key):
+        call()
+
+
 def test_duplicate_keys_rejected():
     with pytest.raises(rs.ConfigError, match="duplicate"):
         rs.from_text(_minimal_text() + "mass_u = 40\n")

@@ -11,7 +11,7 @@ from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
 
 @pytest.fixture(scope="module")
 def model(trap):
-    return rs.ideal_dispersion(trap, 128)
+    return rs.DispersionModel(trap, 128)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_flux_bookkeeping(trap, revival_s):
 
 
 def test_cutoff_mismatch_rejected(trap, packet):
-    small = rs.ideal_dispersion(trap, 40)
+    small = rs.DispersionModel(trap, 40)
     with pytest.raises(rs.InvalidParameterError):
         rs.evolve_linear(packet, 1e-3, small)
 
@@ -95,7 +95,7 @@ def test_attractive_coupling_warns():
 
 
 def test_single_step_matches_exact_evolution_without_coupling(trap):
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     packet = rs.gaussian_packet(0.0, 0.35, 40)
     grid = rs.to_grid(packet, 128)
     dt = 2e-7
@@ -108,7 +108,7 @@ def test_single_step_matches_exact_evolution_without_coupling(trap):
                 ids=["ideal", "centrifugal"])
 def free_engine(request, trap):
     """Coupling-free engine with a flux, with its model and flux."""
-    model = rs.corrected_dispersion(trap, 100, centrifugal=request.param)
+    model = rs.DispersionModel(trap, 100, includes_centrifugal=request.param)
     flux = rs.FluxSpec(action=0.37 * rs.HBAR)
     return model, flux, _SplitStepEngine(model, 256, flux=flux)
 
@@ -134,7 +134,7 @@ def coupled_engine(trap):
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     flux = rs.FluxSpec(action=0.37 * rs.HBAR)
-    engine = _SplitStepEngine(rs.ideal_dispersion(trap, 100), 256, inter,
+    engine = _SplitStepEngine(rs.DispersionModel(trap, 100), 256, inter,
                               flux)
     values = rs.to_grid(rs.gaussian_packet(0.3, 0.3, 100), 256).values
     return engine, values
@@ -333,7 +333,7 @@ def test_relaxation_is_bitwise_explicit_imaginary_time_steps(trap, k,
 def test_split_step_is_second_order(trap):
     # Richardson check: each run is compared against its own quarter-step
     # reference, so halving the step must shrink the error fourfold.
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
@@ -352,7 +352,7 @@ def test_split_step_is_second_order(trap):
 
 
 def test_split_step_conserves_norm(trap):
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     vals = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
@@ -363,18 +363,18 @@ def test_split_step_conserves_norm(trap):
 
 
 def test_oversized_step_rejected(trap):
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
-    with pytest.raises(rs.StepSizeError):
+    with pytest.raises(rs.StepSizeError, match="lower dt in step_nonlinear"):
         rs.step_nonlinear(grid, 5e-3, model, interaction=inter)
 
 
 @pytest.mark.parametrize("with_potential", [False, True],
                          ids=["free", "potential"])
 def test_single_step_is_one_explicit_strang_step(trap, with_potential):
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     flux = rs.FluxSpec(action=0.37 * rs.HBAR)
@@ -393,17 +393,49 @@ def test_single_step_is_one_explicit_strang_step(trap, with_potential):
 
 @pytest.mark.parametrize("dt", [0.0, -1e-7, math.nan])
 def test_single_step_refuses_a_step_that_is_not_positive(trap, dt):
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
     with pytest.raises(rs.InvalidParameterError):
         rs.step_nonlinear(grid, dt, model)
 
 
 def test_potential_shape_validated(trap):
-    model = rs.ideal_dispersion(trap, 40)
+    model = rs.DispersionModel(trap, 40)
     grid = rs.to_grid(rs.gaussian_packet(0.0, 0.35, 40), 128)
     with pytest.raises(rs.InvalidParameterError):
         rs.step_nonlinear(grid, 1e-7, model, potential=np.zeros(64))
+
+
+# each starts the relaxation or the spectral evolution with one non-finite
+# argument: (error, the argument's name in its message, call); a small
+# max_steps keeps a missed tolerance check from running for seconds
+_NON_FINITE_ARGUMENTS = {
+    "tolerance-nan": (rs.ConvergenceError, "tolerance", lambda trap: (
+        rs.ground_state_imaginary_time(trap, grid_n=64, tolerance=math.nan,
+                                       max_steps=100))),
+    "well-frequency-nan": (rs.InvalidParameterError, "well_frequency",
+                           lambda trap: rs.ground_state_imaginary_time(
+                               trap, grid_n=64, well_frequency=math.nan)),
+    "well-frequency-inf": (rs.InvalidParameterError, "well_frequency",
+                           lambda trap: rs.ground_state_imaginary_time(
+                               trap, grid_n=64, well_frequency=math.inf)),
+    "well-center-nan": (rs.InvalidParameterError, "well_center",
+                        lambda trap: rs.ground_state_imaginary_time(
+                            trap, grid_n=64, well_center=math.nan)),
+    "duration-nan": (rs.InvalidParameterError, "duration", lambda trap: (
+        rs.evolve_linear(rs.gaussian_packet(0.0, 0.3, 16), math.nan,
+                         rs.DispersionModel(trap, 16)))),
+    "duration-inf": (rs.InvalidParameterError, "duration", lambda trap: (
+        rs.evolve_linear(rs.gaussian_packet(0.0, 0.3, 16), math.inf,
+                         rs.DispersionModel(trap, 16)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_ARGUMENTS))
+def test_non_finite_arguments_fail_where_the_evolution_starts(trap, case):
+    error, name, call = _NON_FINITE_ARGUMENTS[case]
+    with pytest.raises(error, match=name):
+        call(trap)
 
 
 def test_ground_state_of_release_well_is_gaussian(trap, default_packet_width):

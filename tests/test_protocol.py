@@ -8,6 +8,7 @@ import pytest
 import ringsim as rs
 from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
                                 step_count)
+from ringsim.protocol import _measure
 
 
 def _phase_per_pair(scheme):
@@ -346,6 +347,19 @@ def test_timing_sensitivity_input_guards(trap):
     for values in _NOT_NUMBERS.values():
         with pytest.raises(rs.InvalidParameterError, match="offsets"):
             rs.timing_sensitivity(spec, values)
+
+
+def test_a_readout_with_both_wedges_empty_files_nan(trap):
+    # density only at alpha = pi/2 and 3 pi/2, where the cosine-squared
+    # wedges about the packet center 0 meet and weigh nothing, and balanced
+    # about the ring: imbalance and centroid are undefined and read NaN
+    spec = _linear_spec(trap)
+    values = np.zeros(spec.grid_n, dtype=complex)
+    values[[spec.grid_n // 4, 3 * spec.grid_n // 4]] = 1.0
+    psi0 = rs.gaussian_packet(0.0, spec.effective_packet_width, spec.cutoff)
+    t, _, imbalance, centroid = _measure(rs.GridState(values), spec, psi0,
+                                         0.1)
+    assert t == 0.1 and math.isnan(imbalance) and math.isnan(centroid)
 
 
 # --------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_flux_moves_a_revived_packet_by_the_predicted_angle(trap, revival_s):
     # formulas must equal what the propagator actually does
     scenario = rs.GaugeScenario.rotating_frame(5.0)
     predicted = rs.rotation_per_revival(scenario, trap)
-    model = rs.ideal_dispersion(trap, 64)
+    model = rs.DispersionModel(trap, 64)
     packet = rs.gaussian_packet(0.0, 0.2, 64)
     moved = rs.evolve_linear(packet, revival_s, model,
                              flux=rs.to_flux_spec(scenario, trap))

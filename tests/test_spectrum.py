@@ -15,19 +15,13 @@ def _tilted(trap, v0_internal):
 
 
 def test_ideal_dispersion_is_quadratic(trap):
-    model = rs.ideal_dispersion(trap, 16)
+    model = rs.DispersionModel(trap, 16)
     expected = 0.5 * model.ells.astype(float) ** 2
     np.testing.assert_allclose(model.energies, expected, rtol=0, atol=0)
     scale = rs.HBAR ** 2 / (2.0 * trap.mass * trap.radius ** 2)
     np.testing.assert_allclose(model.energies_si,
                                scale * model.ells.astype(float) ** 2,
                                rtol=1e-14)
-
-
-def test_corrected_dispersion_with_no_toggles_is_ideal(trap):
-    plain = rs.corrected_dispersion(trap, 12)
-    ideal = rs.ideal_dispersion(trap, 12)
-    np.testing.assert_array_equal(plain.energies, ideal.energies)
 
 
 def test_tilt_closed_form_values(trap):
@@ -66,6 +60,21 @@ def test_tilt_warns_outside_trust_region(trap):
     t2 = _tilted(trap, 0.2)
     with pytest.warns(rs.PerturbationValidityWarning):
         rs.tilt_shift(t2, 1)
+
+
+@pytest.mark.parametrize("v0", [0.0, 0.2], ids=["zero", "beyond-limit"])
+def test_a_tilt_corrected_model_warns_where_its_formula_fails(trap, v0):
+    # the tilt term is second order in v0, trusted only below
+    # TILT_PERTURBATIVE_LIMIT and empty at 0; a protocol run builds its
+    # model through the same constructor, so it warns the same way
+    assert v0 == 0.0 or v0 >= rs.spectrum.TILT_PERTURBATIVE_LIMIT
+    t2 = _tilted(trap, v0)
+    with pytest.warns(rs.PerturbationValidityWarning) as caught:
+        rs.DispersionModel(t2, 16, includes_tilt=True)
+    assert [w.filename for w in caught] == [__file__]
+    spec = rs.ProtocolSpec(trap=t2, cutoff=16, grid_n=64, include_tilt=True)
+    with pytest.warns(rs.PerturbationValidityWarning):
+        spec.dispersion_model()
 
 
 def test_tilt_oracle_needs_margin_above_ell(trap):
@@ -166,8 +175,9 @@ def test_every_correction_adds_its_closed_form_on_and_off_the_ladder(trap):
                      omega_perp=trap.omega_perp,
                      tilt_amplitude=0.05 * trap.energy_unit,
                      eccentricity=0.05)
-    model = rs.corrected_dispersion(t2, 64, tilt=True, centrifugal=True,
-                                    ellipticity=True)
+    model = rs.DispersionModel(t2, 64, includes_tilt=True,
+                               includes_centrifugal=True,
+                               includes_ellipticity=True)
     scale = rs.HBAR ** 2 / (2.0 * t2.mass * t2.radius ** 2)
 
     def closed_forms(ells):
