@@ -1,6 +1,7 @@
 """Exception and warning types shared across the package."""
 
 import math
+import sys
 
 
 class RingError(Exception):
@@ -17,6 +18,20 @@ def require_finite(owner, *names) -> None:
         value = getattr(owner, name)
         if value is not None and not math.isfinite(value):
             raise InvalidParameterError("%s must be finite" % name)
+
+
+def _outside_stacklevel() -> int:
+    """`warnings.warn` stacklevel of the first frame outside the package.
+
+    Call it in the argument list of `warnings.warn`: level 1 is that
+    caller.  Frames of generated code, such as a dataclass `__init__`,
+    carry their module's globals and so count as inside.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get(
+            "__name__", "").partition(".")[0] == "ringsim":
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class CutoffInsufficientError(InvalidParameterError):

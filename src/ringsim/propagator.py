@@ -28,9 +28,11 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import (AttractiveCouplingWarning, ConvergenceError,
-                     InvalidParameterError, StepSizeError, require_finite)
+                     InvalidParameterError, StepSizeError,
+                     _outside_stacklevel, require_finite)
 from .spectrum import DispersionModel, TrapSpec, revival_time
-from .states import GridState, SpectralState, gaussian_packet, to_grid
+from .states import (GridState, SpectralState, _fft, _ifft, gaussian_packet,
+                     to_grid)
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,7 +134,8 @@ class InteractionSpec:
         if self.scattering_length < 0 and self.atom_number > 0:
             warnings.warn("attractive interactions: mean-field results are "
                           "only trustworthy below the collapse threshold",
-                          AttractiveCouplingWarning, stacklevel=2)
+                          AttractiveCouplingWarning,
+                          stacklevel=_outside_stacklevel())
 
     def coupling(self, trap: TrapSpec) -> float:
         """Line-density coupling g1 = 2 hbar omega_perp a N (J m)."""
@@ -270,8 +273,8 @@ class _SplitStepEngine:
         if duration <= 0:
             return values
         if self.coupling == 0.0 and potential is None:
-            return np.fft.ifft(self.kinetic_phase(duration, flux_on) *
-                               np.fft.fft(values))
+            return _ifft(self.kinetic_phase(duration, flux_on) *
+                         _fft(values))
         opening, closing = scheme[0][0], scheme[0][-1]
         fused = fused_local_coefficients(scheme)
         m = len(fused)
@@ -299,9 +302,9 @@ class _SplitStepEngine:
             if k < pairs:
                 # kinetic * spectrum, not spectrum * kinetic: numpy's
                 # complex product is not bitwise commutative
-                np.fft.fft(values, out=spectrum)
+                _fft(values, out=spectrum)
                 np.multiply(kinetic[k % m], spectrum, out=spectrum)
-                np.fft.ifft(spectrum, out=values)
+                _ifft(spectrum, out=values)
         return values
 
     def relax(self, values: np.ndarray, dtau: float, steps: int,
@@ -320,9 +323,9 @@ class _SplitStepEngine:
             self._local_into(values, potential, local)
             local *= -0.5 * dtau
             values *= np.exp(local, out=local)
-            np.fft.fft(values, out=spectrum)
+            _fft(values, out=spectrum)
             np.multiply(kinetic, spectrum, out=spectrum)
-            np.fft.ifft(spectrum, out=values)
+            _ifft(spectrum, out=values)
             self._local_into(values, potential, local)
             local *= -0.5 * dtau
             values *= np.exp(local, out=local)
@@ -334,7 +337,7 @@ class _SplitStepEngine:
     def energy(self, values: np.ndarray, potential=None) -> float:
         """Mean-field energy functional (internal units) of a unit-norm state."""
         dalpha = TWO_PI / self.grid_n
-        coeff = np.fft.fft(values) / self.grid_n
+        coeff = _fft(values) / self.grid_n
         kinetic = TWO_PI * np.sum(self.energies * np.abs(coeff) ** 2)
         density = np.abs(values) ** 2
         pot = 0.0

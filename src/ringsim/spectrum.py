@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import (InvalidParameterError, PerturbationValidityWarning,
-                     require_finite)
+                     _outside_stacklevel, require_finite)
 
 # Trust region for the tilt formula: second-order perturbation theory in the
 # dimensionless potential amplitude.
@@ -75,7 +75,7 @@ class TrapSpec:
                 "sigma_u/R = %.3f exceeds the transverse expansion trust "
                 "region (< %.2f)" % (self.sigma_u / self.radius,
                                      TRANSVERSE_RATIO_LIMIT),
-                PerturbationValidityWarning, stacklevel=2)
+                PerturbationValidityWarning, stacklevel=_outside_stacklevel())
 
     @property
     def time_unit(self) -> float:
@@ -150,12 +150,12 @@ def _ellipticity_internal(ells, omega_internal: float,
 # ---------------------------------------------------------------------------
 # SI-facing closed forms
 
-def _warn_beyond_tilt_limit(v0: float, stacklevel: int) -> None:
+def _warn_beyond_tilt_limit(v0: float) -> None:
     if v0 >= TILT_PERTURBATIVE_LIMIT:
         warnings.warn(
             "tilt amplitude %.3g (internal) exceeds the perturbative trust "
             "region (< %.2f)" % (v0, TILT_PERTURBATIVE_LIMIT),
-            PerturbationValidityWarning, stacklevel=stacklevel)
+            PerturbationValidityWarning, stacklevel=_outside_stacklevel())
 
 
 def tilt_shift(trap: TrapSpec, ells) -> np.ndarray:
@@ -165,7 +165,7 @@ def tilt_shift(trap: TrapSpec, ells) -> np.ndarray:
     ell = 0, where it equals -V0^2 in internal units.  Valid while the
     dimensionless amplitude stays well below the unit rotational splitting.
     """
-    _warn_beyond_tilt_limit(trap.tilt_internal, stacklevel=3)
+    _warn_beyond_tilt_limit(trap.tilt_internal)
     return _tilt_internal(ells, trap.tilt_internal) * trap.energy_unit
 
 
@@ -233,8 +233,9 @@ class DispersionModel:
         if self.includes_tilt:
             if self.trap.tilt_internal == 0.0:
                 warnings.warn("tilt correction enabled with zero amplitude",
-                              PerturbationValidityWarning, stacklevel=3)
-            _warn_beyond_tilt_limit(self.trap.tilt_internal, stacklevel=4)
+                              PerturbationValidityWarning,
+                              stacklevel=_outside_stacklevel())
+            _warn_beyond_tilt_limit(self.trap.tilt_internal)
         energies = self.internal_at(self.ells)
         energies.setflags(write=False)
         object.__setattr__(self, "energies", energies)

@@ -16,10 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import CutoffInsufficientError, InvalidParameterError
 
 TWO_PI = 2.0 * np.pi
+
+
+# The gufuncs and normalisation factors that numpy.fft.fft and ifft reach
+# through their Python wrapper, called directly, along the last axis: the
+# wrapper costs a quarter to a third of a call on one 512-point row.
+def _fft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    return _pocketfft.fft(values, 1.0, out=out)
+
+
+def _ifft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    return _pocketfft.ifft(values, 1.0 / values.shape[-1], out=out)
 
 
 def _frozen_complex(values) -> np.ndarray:
@@ -136,7 +152,7 @@ def to_grid(state: SpectralState, grid_n: int) -> GridState:
         raise InvalidParameterError("grid size must be a power of two")
     buf = np.zeros(grid_n, dtype=np.complex128)
     buf[state.ells % grid_n] = state.amplitudes
-    values = np.fft.ifft(buf) * grid_n / np.sqrt(TWO_PI)
+    values = _ifft(buf) * grid_n / np.sqrt(TWO_PI)
     return GridState(values)
 
 
@@ -153,7 +169,7 @@ def to_spectral(state: GridState, cutoff: int) -> SpectralState:
     if 2 * cutoff + 2 > n:
         raise InvalidParameterError(
             f"cutoff {cutoff} requires grid size >= {2 * cutoff + 2}, got {n}")
-    coeff = np.fft.fft(state.values) * np.sqrt(TWO_PI) / n
+    coeff = _fft(state.values) * np.sqrt(TWO_PI) / n
     ells = np.arange(-cutoff, cutoff + 1)
     return SpectralState(coeff[ells % n])
 

@@ -88,8 +88,9 @@ def test_interaction_coupling_values(trap):
 
 
 def test_attractive_coupling_warns():
-    with pytest.warns(rs.AttractiveCouplingWarning):
+    with pytest.warns(rs.AttractiveCouplingWarning) as caught:
         rs.InteractionSpec(scattering_length=-1e-10, atom_number=100.0)
+    assert [w.filename for w in caught] == [__file__]
     with pytest.raises(rs.InvalidParameterError):
         rs.InteractionSpec(scattering_length=1e-10, atom_number=-5.0)
 
@@ -128,16 +129,20 @@ def test_exact_kinetic_step_equals_evolve_linear(free_engine, revival_s, n):
     assert np.max(np.abs(looped - reference)) < 1e-12
 
 
-@pytest.fixture(scope="module")
-def coupled_engine(trap):
-    """Engine with the mean-field coupling and a flux, and a start state."""
+def _coupled(trap, grid_n):
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     flux = rs.FluxSpec(action=0.37 * rs.HBAR)
-    engine = _SplitStepEngine(rs.DispersionModel(trap, 100), 256, inter,
+    engine = _SplitStepEngine(rs.DispersionModel(trap, 100), grid_n, inter,
                               flux)
-    values = rs.to_grid(rs.gaussian_packet(0.3, 0.3, 100), 256).values
+    values = rs.to_grid(rs.gaussian_packet(0.3, 0.3, 100), grid_n).values
     return engine, values
+
+
+@pytest.fixture(scope="module")
+def coupled_engine(trap):
+    """Engine with the mean-field coupling and a flux, and a start state."""
+    return _coupled(trap, 256)
 
 
 def _strang_step(engine, values, h, potential, flux_on):
@@ -201,11 +206,15 @@ def _reference_propagate(engine, values, duration, dt, potential, flux_on):
 @pytest.mark.parametrize("flux_on", [True, False], ids=["flux", "no-flux"])
 @pytest.mark.parametrize("with_potential", [False, True],
                          ids=["free", "potential"])
-@pytest.mark.parametrize("rows", [1, 3])
+# the 512-point shapes are the reference scenario's: one row, as in a
+# revival search, and the seven rows of a phase sweep
+@pytest.mark.parametrize("grid_n, rows", [(256, 1), (256, 3), (512, 1),
+                                          (512, 7)],
+                         ids=["1", "3", "512x1", "512x7"])
 @pytest.mark.parametrize("n", [1, 2, 50])
 def test_in_place_steps_are_bitwise_the_reference_loop(
-        coupled_engine, n, rows, with_potential, flux_on):
-    engine, values = coupled_engine
+        trap, n, grid_n, rows, with_potential, flux_on):
+    engine, values = _coupled(trap, grid_n)
     if rows > 1:
         values = np.array([values * np.exp(1j * k * np.cos(engine.angles))
                            for k in range(rows)])

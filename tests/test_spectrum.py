@@ -58,8 +58,9 @@ def test_tilt_oracle_residual_shrinks_quadratically(trap):
 
 def test_tilt_warns_outside_trust_region(trap):
     t2 = _tilted(trap, 0.2)
-    with pytest.warns(rs.PerturbationValidityWarning):
+    with pytest.warns(rs.PerturbationValidityWarning) as caught:
         rs.tilt_shift(t2, 1)
+    assert [w.filename for w in caught] == [__file__]
 
 
 @pytest.mark.parametrize("v0", [0.0, 0.2], ids=["zero", "beyond-limit"])
@@ -73,8 +74,9 @@ def test_a_tilt_corrected_model_warns_where_its_formula_fails(trap, v0):
         rs.DispersionModel(t2, 16, includes_tilt=True)
     assert [w.filename for w in caught] == [__file__]
     spec = rs.ProtocolSpec(trap=t2, cutoff=16, grid_n=64, include_tilt=True)
-    with pytest.warns(rs.PerturbationValidityWarning):
+    with pytest.warns(rs.PerturbationValidityWarning) as caught:
         spec.dispersion_model()
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_tilt_oracle_needs_margin_above_ell(trap):
@@ -198,8 +200,9 @@ def test_dispersion_model_guards(trap):
 
 
 def test_fat_ring_warns():
-    with pytest.warns(rs.PerturbationValidityWarning):
+    with pytest.warns(rs.PerturbationValidityWarning) as caught:
         rs.TrapSpec(mass=rs.K39_MASS_KG, radius=5.9e-7, omega_perp=6.4e3)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_trap_validation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ringsim as rs
+from ringsim.states import _fft, _ifft
 
 
 def test_gaussian_packet_is_normalized():
@@ -54,6 +55,31 @@ def test_grid_round_trip_is_exact():
     packet = rs.gaussian_packet(0.5, 0.2, 60)
     back = rs.to_spectral(rs.to_grid(packet, 256), 60)
     assert np.max(np.abs(back.amplitudes - packet.amplitudes)) < 1e-14
+
+
+def test_transforms_are_bitwise_the_numpy_fft_formulas():
+    # the transforms call numpy's FFT gufuncs past the numpy.fft wrapper,
+    # which must not move a bit
+    packet = rs.gaussian_packet(0.4, 0.121, 200)
+    grid = rs.to_grid(packet, 512)
+    buf = np.zeros(512, dtype=complex)
+    buf[packet.ells % 512] = packet.amplitudes
+    np.testing.assert_array_equal(
+        grid.values, np.fft.ifft(buf) * 512 / np.sqrt(2.0 * np.pi))
+    coeff = np.fft.fft(grid.values) * np.sqrt(2.0 * np.pi) / 512
+    np.testing.assert_array_equal(rs.to_spectral(grid, 200).amplitudes,
+                                  coeff[packet.ells % 512])
+
+
+@pytest.mark.parametrize("shape", [(512,), (7, 512)], ids=["row", "batch"])
+def test_fft_helpers_are_bitwise_numpy_fft(shape):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for helper, reference in ((_fft, np.fft.fft), (_ifft, np.fft.ifft)):
+        np.testing.assert_array_equal(helper(values), reference(values))
+        out = np.empty_like(values)
+        assert helper(values, out=out) is out
+        np.testing.assert_array_equal(out, reference(values))
 
 
 def test_grid_must_hold_the_ladder():
