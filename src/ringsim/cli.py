@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -293,19 +294,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = from_file(args.config) if args.config else from_defaults()
-        os.makedirs(args.out, exist_ok=True)
-        return args.func(config, args, args.out)
-    except (ConfigError, InvalidParameterError) as exc:
-        print("ringsim: config error: %s" % exc, file=sys.stderr)
-        return 2
-    except RingError as exc:
-        print("ringsim: error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("ringsim: %s" % exc, file=sys.stderr)
-        return 1
+    # one line per warning, without the library source line it was filed
+    # at; the filters are left alone, so `-W error` still raises
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, *_: print(
+            "ringsim: warning: %s: %s" % (category.__name__, message),
+            file=sys.stderr)
+        try:
+            config = from_file(args.config) if args.config else from_defaults()
+            os.makedirs(args.out, exist_ok=True)
+            return args.func(config, args, args.out)
+        except (ConfigError, InvalidParameterError) as exc:
+            print("ringsim: config error: %s" % exc, file=sys.stderr)
+            return 2
+        except RingError as exc:
+            print("ringsim: error: %s" % exc, file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print("ringsim: %s" % exc, file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -28,88 +28,67 @@ from .errors import InvalidParameterError, NotApplicableError
 from .propagator import FluxSpec
 from .spectrum import TrapSpec
 
-SCENARIO_KINDS = ("charged-magnetic", "aharonov-casher",
-                  "electric-dipole-magnetic", "rotating-frame")
-
-# parameter set each kind must populate; every other parameter stays None
-_REQUIRED = {
-    "charged-magnetic": ("charge", "magnetic_field"),
-    "aharonov-casher": ("magnetic_moment", "electric_field"),
-    "electric-dipole-magnetic": ("electric_dipole", "magnetic_field"),
-    "rotating-frame": ("rotation_rate",),
+# flux action per unit strength of each kind: the loop factor of its ring
+_LOOP_FACTORS = {
+    "charged-magnetic": lambda trap: math.pi * trap.radius ** 2,
+    "aharonov-casher":
+        lambda trap: math.tau * trap.radius / SPEED_OF_LIGHT ** 2,
+    "electric-dipole-magnetic": lambda trap: math.tau * trap.radius,
+    "rotating-frame": lambda trap: math.tau * trap.mass * trap.radius ** 2,
 }
 
-_PARAMETER_FIELDS = ("charge", "magnetic_field", "magnetic_moment",
-                     "electric_field", "electric_dipole", "rotation_rate")
+SCENARIO_KINDS = tuple(_LOOP_FACTORS)
 
 
 @dataclass(frozen=True)
 class GaugeScenario:
     """One physical realization of an effective gauge flux.
 
-    Exactly the parameters of the chosen kind must be set:
+    `strength` is the product of the kind's parameters that the flux
+    action is linear in:
 
-    * "charged-magnetic": `charge` (C) in a uniform `magnetic_field` (T)
+    * "charged-magnetic": q B, a charge (C) in a uniform magnetic field (T)
       perpendicular to the ring plane;
-    * "aharonov-casher": `magnetic_moment` (J/T) encircling a line charge
-      whose radial `electric_field` (V/m) is evaluated at the ring;
-    * "electric-dipole-magnetic": `electric_dipole` (C m) in a uniform
-      transverse `magnetic_field` (T), the dual of the previous case;
-    * "rotating-frame": lab frame rotating at `rotation_rate` (rad/s)
-      about the trap center.
+    * "aharonov-casher": m0 E0, a magnetic moment (J/T) encircling a line
+      charge whose radial electric field (V/m) is evaluated at the ring;
+    * "electric-dipole-magnetic": p B, an electric dipole (C m) in a
+      uniform transverse magnetic field (T), the dual of the previous case;
+    * "rotating-frame": Omega, the rate (rad/s) at which the lab frame
+      rotates about the trap center.
     """
 
     kind: str
-    charge: float | None = None
-    magnetic_field: float | None = None
-    magnetic_moment: float | None = None
-    electric_field: float | None = None
-    electric_dipole: float | None = None
-    rotation_rate: float | None = None
+    strength: float
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in _LOOP_FACTORS:
             raise InvalidParameterError(
                 "kind must be one of %s" % (SCENARIO_KINDS,))
-        required = _REQUIRED[self.kind]
-        for name in _PARAMETER_FIELDS:
-            value = getattr(self, name)
-            if name in required:
-                if value is None or not math.isfinite(value):
-                    raise InvalidParameterError(
-                        "%s scenario needs a finite %s" % (self.kind, name))
-            elif value is not None:
-                raise InvalidParameterError(
-                    "%s does not apply to a %s scenario" % (name, self.kind))
+        if not math.isfinite(self.strength):
+            raise InvalidParameterError(
+                "%s scenario needs a finite strength" % self.kind)
 
     @classmethod
     def charged(cls, charge: float, magnetic_field: float):
-        return cls("charged-magnetic", charge=charge,
-                   magnetic_field=magnetic_field)
+        return cls("charged-magnetic", charge * magnetic_field)
 
     @classmethod
     def aharonov_casher(cls, magnetic_moment: float, electric_field: float):
-        return cls("aharonov-casher", magnetic_moment=magnetic_moment,
-                   electric_field=electric_field)
+        return cls("aharonov-casher", magnetic_moment * electric_field)
 
     @classmethod
     def dipole_in_magnetic_field(cls, electric_dipole: float,
                                  magnetic_field: float):
         return cls("electric-dipole-magnetic",
-                   electric_dipole=electric_dipole,
-                   magnetic_field=magnetic_field)
+                   electric_dipole * magnetic_field)
 
     @classmethod
     def rotating_frame(cls, rotation_rate: float):
-        return cls("rotating-frame", rotation_rate=rotation_rate)
-
-    def parameters(self) -> dict:
-        """The populated parameter set, for echoing in reports."""
-        return {name: getattr(self, name) for name in _REQUIRED[self.kind]}
+        return cls("rotating-frame", rotation_rate)
 
 
 def flux_action(scenario: GaugeScenario, trap: TrapSpec) -> float:
-    """Effective flux times coupling, gamma * Phi (J s), for the scenario.
+    """Flux action gamma * Phi (J s): the strength times the loop factor.
 
     charged-magnetic: q B pi R^2 (flux of a uniform field);
     aharonov-casher: 2 pi R E0 m0 / c^2;
@@ -117,17 +96,7 @@ def flux_action(scenario: GaugeScenario, trap: TrapSpec) -> float:
     rotating-frame: 2 pi m R^2 omega (circulation of the frame velocity).
     The revived packet rotates by flux_action/hbar per ideal revival.
     """
-    radius = trap.radius
-    if scenario.kind == "charged-magnetic":
-        return scenario.charge * scenario.magnetic_field * math.pi * \
-            radius ** 2
-    if scenario.kind == "aharonov-casher":
-        return 2.0 * math.pi * radius * scenario.electric_field * \
-            scenario.magnetic_moment / SPEED_OF_LIGHT ** 2
-    if scenario.kind == "electric-dipole-magnetic":
-        return 2.0 * math.pi * radius * scenario.electric_dipole * \
-            scenario.magnetic_field
-    return 2.0 * math.pi * trap.mass * radius ** 2 * scenario.rotation_rate
+    return scenario.strength * _LOOP_FACTORS[scenario.kind](trap)
 
 
 def rotation_per_revival(scenario: GaugeScenario, trap: TrapSpec) -> float:
@@ -150,13 +119,24 @@ def min_detectable_field(resolution: float, charge: float,
     B_min = hbar * resolution / (|q| pi R^2).  Raises NotApplicableError for
     a neutral particle, whose revival does not couple to the field this way.
     """
-    if resolution <= 0:
-        raise InvalidParameterError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise InvalidParameterError("resolution must be positive and finite")
+    if not math.isfinite(charge):
+        raise InvalidParameterError("charge must be finite")
     if charge == 0:
         raise NotApplicableError(
             "a neutral particle acquires no magnetic flux phase; use one of "
             "the neutral-particle scenarios instead")
     return HBAR * resolution / (abs(charge) * math.pi * trap.radius ** 2)
+
+
+def _dwell(trap: TrapSpec, dwell_time: float | None) -> float:
+    """The dwell time (s), by default the dispersion timescale 1/omega_perp."""
+    if dwell_time is None:
+        return 1.0 / trap.omega_perp
+    if not 0 < dwell_time < math.inf:
+        raise InvalidParameterError("dwell_time must be positive and finite")
+    return dwell_time
 
 
 def gravitational_phase(tilt_angle: float, trap: TrapSpec,
@@ -170,15 +150,13 @@ def gravitational_phase(tilt_angle: float, trap: TrapSpec,
     the dispersion timescale 1/omega_perp).  Tilt is restricted to
     [-pi/2, pi/2], where the height difference is monotone in the tilt.
     """
-    if abs(tilt_angle) > 0.5 * math.pi:
+    if not abs(tilt_angle) <= 0.5 * math.pi:
         raise InvalidParameterError(
             "tilt_angle must lie in [-pi/2, pi/2]")
-    if dwell_time is None:
-        dwell_time = 1.0 / trap.omega_perp
-    if dwell_time <= 0:
-        raise InvalidParameterError("dwell_time must be positive")
+    if not math.isfinite(gravity):
+        raise InvalidParameterError("gravity must be finite")
     return 2.0 * trap.mass * gravity * trap.radius * \
-        math.sin(tilt_angle) * dwell_time / HBAR
+        math.sin(tilt_angle) * _dwell(trap, dwell_time) / HBAR
 
 
 def scattering_phase(scattering_length: float, density: float,
@@ -190,22 +168,21 @@ def scattering_phase(scattering_length: float, density: float,
     Linear in `scattering_length`, so differential phases between the two
     copies follow by subtraction.
     """
-    if density <= 0:
-        raise InvalidParameterError("density must be positive")
-    if dwell_time is None:
-        dwell_time = 1.0 / trap.omega_perp
-    if dwell_time <= 0:
-        raise InvalidParameterError("dwell_time must be positive")
+    if not math.isfinite(scattering_length):
+        raise InvalidParameterError("scattering_length must be finite")
+    if not 0 < density < math.inf:
+        raise InvalidParameterError("density must be positive and finite")
     return 4.0 * math.pi * HBAR * scattering_length * density * \
-        dwell_time / trap.mass
+        _dwell(trap, dwell_time) / trap.mass
 
 
 def min_detectable_scattering_length(phase_resolution: float, density: float,
                                      trap: TrapSpec,
                                      dwell_time: float | None = None) -> float:
     """Scattering-length change (m) producing `phase_resolution` rad."""
-    if phase_resolution <= 0:
-        raise InvalidParameterError("phase_resolution must be positive")
+    if not 0 < phase_resolution < math.inf:
+        raise InvalidParameterError(
+            "phase_resolution must be positive and finite")
     per_length = scattering_phase(1.0, density, trap, dwell_time)
     return phase_resolution / per_length
 
@@ -217,8 +194,8 @@ def peak_density(trap: TrapSpec, atom_number: float) -> float:
     trap at omega_perp, width sigma_u in each direction, so the peak is
     N / ((2 pi)^(3/2) sigma_u^3).
     """
-    if atom_number < 0:
-        raise InvalidParameterError("atom_number must be >= 0")
+    if not 0 <= atom_number < math.inf:
+        raise InvalidParameterError("atom_number must be >= 0 and finite")
     sigma = trap.sigma_u
     return atom_number / ((2.0 * math.pi) ** 1.5 * sigma ** 3)
 

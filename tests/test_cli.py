@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, CSV outputs, exit codes."""
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import ringsim as rs
 from ringsim.cli import _variant_spec, main
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 QUICK = (
     "mass_u = 38.96370668\n"
@@ -189,6 +194,22 @@ def test_timing_report(quick_cfg, tmp_path):
     assert len(rows) == 3
     fidelities = [float(r[1]) for r in rows]
     assert fidelities == sorted(fidelities, reverse=True)
+
+
+def test_warnings_print_one_line_without_a_source_line(tmp_path):
+    path = tmp_path / "tilt.cfg"
+    path.write_text(QUICK + "tilt_v0 = 0.5\ncorrect_tilt = true\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "ringsim", "spectrum", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "ringsim: warning: PerturbationValidityWarning: tilt amplitude 0.5 "
+        "(internal) exceeds the perturbative trust region (< 0.10)\n")
+    for name in ("__main__.py", "sys.exit"):
+        assert name not in done.stdout + done.stderr
 
 
 def test_missing_required_key_exits_2(tmp_path, capsys):

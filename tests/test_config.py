@@ -1,6 +1,7 @@
 """Flat key=value scenario configuration: parsing, hashing, building."""
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -224,3 +225,22 @@ def test_build_protocol_interaction_mapping():
     assert spec.interaction.scattering_length == pytest.approx(
         2.0 * rs.BOHR_RADIUS, rel=1e-12)
     assert spec.interaction.atom_number == 20000.0
+
+
+# a value the parser accepts but the library refuses, with the library's
+# message: (message, call)
+_LIBRARY_REFUSALS = {
+    "negative-frequency": ("omega_perp must be positive",
+                           lambda: rs.build_trap(rs.from_text(
+                               _minimal_text(omega_perp_krad_s="-1")))),
+    "grid-not-power-of-two": ("grid_n must be a power of two >= 4",
+                              lambda: rs.build_protocol(rs.from_text(
+                                  _minimal_text(grid_n="100")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIBRARY_REFUSALS))
+def test_library_refusals_surface_as_config_errors(case):
+    message, call = _LIBRARY_REFUSALS[case]
+    with pytest.raises(rs.ConfigError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 """Readout observables: fidelity, imbalance, centroid, density profile."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,3 +111,31 @@ def test_density_profile_normalization():
     # density peaks where the packet sits
     peak = profile.angles[int(np.argmax(profile.density))]
     assert peak == pytest.approx(0.7, abs=2.0 * math.pi / 256)
+
+
+_GRID = rs.to_grid(rs.gaussian_packet(0.0, 0.2, 64), 256)
+
+# each bad input with the message it raises: (message, call)
+_GUARDS = {
+    "fidelity-grid-sizes": ("grid size mismatch in fidelity",
+                            lambda: rs.fidelity(_GRID, rs.GridState(
+                                np.ones(512)))),
+    "profile-grid-n": ("grid_n does not match the state's grid",
+                       lambda: rs.density_profile(_GRID, grid_n=512)),
+    "profile-not-a-state": ("expected a SpectralState or GridState",
+                            lambda: rs.density_profile("psi")),
+    "empty-window": ("window has zero angular extent",
+                     lambda: rs.population_imbalance(
+                         _GRID, right_window=(0.0, 0.0))),
+    "centroid-not-a-state": ("expected a SpectralState or GridState",
+                             lambda: rs.circular_centroid("psi")),
+    "profile-shapes": ("angles/density shape mismatch",
+                       lambda: rs.DensityProfile(np.zeros(4), np.zeros(5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_guards_refuse_mismatched_or_unknown_inputs(case):
+    message, call = _GUARDS[case]
+    with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 """Propagators: exact spectral evolution and the split-step engine."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -478,3 +479,23 @@ def test_ground_state_convergence_guards(trap):
         rs.ground_state_imaginary_time(trap, grid_n=128,
                                        well_frequency=trap.omega_perp,
                                        max_steps=60)
+
+
+# each bad input with the message it raises: (message, call)
+_GUARDS = {
+    "flux-before-release": ("turn_on must be >= 0",
+                            lambda trap: rs.FluxSpec(1e-34, turn_on=-1.0)),
+    "grid-not-power-of-two": ("grid_n must be a power of two >= 4",
+                              lambda trap: rs.ground_state_imaginary_time(
+                                  trap, grid_n=100)),
+    "no-step-budget": ("max_steps must be >= 1",
+                       lambda trap: rs.ground_state_imaginary_time(
+                           trap, grid_n=64, max_steps=0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_guards_refuse_bad_flux_grid_and_budget(trap, case):
+    message, call = _GUARDS[case]
+    with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
+        call(trap)

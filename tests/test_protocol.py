@@ -1,6 +1,7 @@
 """Full interferometer sequence: split, imprint, recombine, read out."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -850,3 +851,23 @@ def test_an_imprint_at_the_checkpoint_instant_leaves_the_checkpoint_intact(
     for store, kept in searches:
         assert store.times[-1] == t_check
         np.testing.assert_array_equal(store.states[-1], kept[-1])
+
+
+# each bad field with the message it raises: (message, call)
+_GUARDS = {
+    "window-edge-inf": ("window edges must be finite",
+                        lambda trap: rs.ImprintSpec(
+                            1.0, window=(0.0, math.inf))),
+    "cutoff-zero": ("cutoff must be >= 1",
+                    lambda trap: rs.ProtocolSpec(trap=trap, cutoff=0)),
+    "revival-time-negative": ("revival_time_s must be positive",
+                              lambda trap: rs.ProtocolSpec(
+                                  trap=trap, revival_time_s=-1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_spec_guards_name_the_bad_field(trap, case):
+    message, call = _GUARDS[case]
+    with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
+        call(trap)

@@ -1,5 +1,6 @@
 """Dispersion closed forms against their independent numerical oracles."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,3 +219,22 @@ def test_trap_validation():
 
 def test_omega_internal_pinned(trap):
     assert trap.omega_internal == pytest.approx(OMEGA_INTERNAL, rel=1e-13)
+
+
+# each bad input with the message it raises: (message, call)
+_GUARDS = {
+    "negative-omega-perp": ("omega_perp must be positive",
+                            lambda trap: rs.TrapSpec(
+                                mass=trap.mass, radius=trap.radius,
+                                omega_perp=-1.0)),
+    "oracle-cutoff": ("oracle cutoff too close to max |ell|",
+                      lambda trap: rs.ellipticity_shift_oracle(
+                          trap, [60], cutoff=64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_guards_refuse_bad_trap_and_oracle_cutoff(trap, case):
+    message, call = _GUARDS[case]
+    with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
+        call(trap)

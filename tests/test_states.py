@@ -1,5 +1,6 @@
 """Ring states: packets, spectral/grid transforms and rotations."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,3 +119,30 @@ def test_full_turn_is_identity():
     packet = rs.gaussian_packet(0.5, 0.2, 60)
     around = rs.rotate(packet, 2.0 * math.pi)
     assert np.max(np.abs(around.amplitudes - packet.amplitudes)) < 1e-12
+
+
+# each bad input with the message it raises: (message, call)
+_GUARDS = {
+    "two-dimensional": ("state amplitudes must be one-dimensional",
+                        lambda: rs.SpectralState(np.ones((3, 3)))),
+    "non-finite": ("state amplitudes must be finite",
+                   lambda: rs.SpectralState([1.0, math.nan, 0.0])),
+    "packet-cutoff": ("cutoff must be a positive integer",
+                      lambda: rs.gaussian_packet(0.0, 0.5, 0)),
+    "grid-not-power-of-two": ("grid size must be a power of two",
+                              lambda: rs.to_grid(
+                                  rs.gaussian_packet(0.0, 0.2, 64), 192)),
+    "projection-cutoff": ("cutoff must be a positive integer",
+                          lambda: rs.to_spectral(rs.GridState(np.ones(8)),
+                                                 0)),
+    "projection-too-fine": ("cutoff 4 requires grid size >= 10, got 8",
+                            lambda: rs.to_spectral(rs.GridState(np.ones(8)),
+                                                   4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_guards_refuse_bad_states_and_sizes(case):
+    message, call = _GUARDS[case]
+    with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
+        call()
