@@ -23,9 +23,8 @@ from .errors import (AttractiveCouplingWarning, CentroidUndefinedError,
                      RevivalNotFoundError, RingError, StepSizeError)
 from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
-from .spectrum import (DispersionModel, EllipticityComparison, TrapSpec,
-                       centrifugal_displacement, centrifugal_shift,
-                       ellipticity_comparison, ellipticity_shift,
+from .spectrum import (DispersionModel, TrapSpec, centrifugal_displacement,
+                       centrifugal_shift, ellipticity_shift,
                        ellipticity_shift_oracle, revival_time, tilt_shift,
                        tilt_shift_oracle)
 from .propagator import (FluxSpec, InteractionSpec, evolve_linear,
@@ -57,11 +56,9 @@ __all__ = [
     "RevivalNotFoundError", "RingError", "StepSizeError",
     "GridState", "SpectralState", "gaussian_packet", "rotate", "to_grid",
     "to_spectral",
-    "DispersionModel", "EllipticityComparison", "TrapSpec",
-    "centrifugal_displacement", "centrifugal_shift",
-    "ellipticity_comparison", "ellipticity_shift",
-    "ellipticity_shift_oracle", "revival_time", "tilt_shift",
-    "tilt_shift_oracle",
+    "DispersionModel", "TrapSpec", "centrifugal_displacement",
+    "centrifugal_shift", "ellipticity_shift", "ellipticity_shift_oracle",
+    "revival_time", "tilt_shift", "tilt_shift_oracle",
     "FluxSpec", "InteractionSpec", "evolve_linear",
     "ground_state_imaginary_time", "half_revival_superposition",
     "step_nonlinear",

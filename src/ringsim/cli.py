@@ -49,8 +49,8 @@ from .spectrum import (DispersionModel, centrifugal_shift, ellipticity_shift,
 TWO_PI = 2.0 * np.pi
 
 
-def _header_lines(config: ScenarioConfig, command: str, extra=()) -> list:
-    trap = build_trap(config)
+def _header_lines(config: ScenarioConfig, trap, command: str,
+                  extra=()) -> list:
     g_int = 0.0
     if config.atom_number > 0:
         g_int = InteractionSpec(config.scattering_length_a0 * BOHR_RADIUS,
@@ -91,7 +91,7 @@ def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:
     print("revival fidelity:       %.17g" % result.revival_fidelity)
     print("readout imbalance:      %.17g" % result.imbalance)
     print("step dt_factor:         %.17g" % result.spec.dt_factor)
-    header = _header_lines(config, "revival", [
+    header = _header_lines(config, spec.trap, "revival", [
         ("optimized_revival_s", result.revival_time_s),
         ("total_duration_s", result.total_duration_s),
         ("revival_fidelity", result.revival_fidelity),
@@ -140,7 +140,8 @@ def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
     for name in config.sweep_variants:
         spec = _variant_spec(base, name)
         rows = sweep_phase(spec, phases)
-        header = _header_lines(config, "sweep-phase", [("variant", name)])
+        header = _header_lines(config, base.trap, "sweep-phase",
+                               [("variant", name)])
         path = os.path.join(out_dir, "sweep_phase_%s.csv" % name)
         _write_csv(path, header, ["phi_rad", "imbalance"], rows)
         written.append(path)
@@ -166,7 +167,7 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     si = [ideal_si, tilt_si, centrifugal_si, ellipticity_si, total_si]
     rows = np.column_stack(
         [ells] + si + [e / trap.energy_unit for e in si])
-    header = _header_lines(config, "spectrum")
+    header = _header_lines(config, trap, "spectrum")
     path = os.path.join(out_dir, "spectrum.csv")
     _write_csv(path, header, columns,
                [[int(r[0])] + list(r[1:]) for r in rows])
@@ -237,7 +238,7 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
         ("min_detectable_scattering_length", da_min, "m"),
         ("min_detectable_scattering_length_a0", da_min / BOHR_RADIUS, "a0"),
     ]
-    header = _header_lines(config, "sense")
+    header = _header_lines(config, trap, "sense")
     path = os.path.join(out_dir, "sense.csv")
     _write_csv(path, header, ["name", "value", "unit"], rows)
     print("wrote %s" % path)
@@ -248,7 +249,7 @@ def _cmd_timing(config: ScenarioConfig, args, out_dir: str) -> int:
     spec = build_protocol(config)
     offsets = [u * 1e-6 for u in config.timing_offsets_us]
     rows = timing_sensitivity(spec, offsets)
-    header = _header_lines(config, "timing")
+    header = _header_lines(config, spec.trap, "timing")
     path = os.path.join(out_dir, "timing.csv")
     _write_csv(path, header, ["offset_s", "fidelity", "imbalance"], rows)
     for row in rows:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .constants import ATOMIC_MASS_UNIT, BOHR_RADIUS, HBAR, K39_MASS_U
 from .errors import ConfigError, InvalidParameterError
@@ -279,15 +279,22 @@ def build_trap(config: ScenarioConfig) -> TrapSpec:
     radius = config.radius_um * 1e-6
     if mass <= 0 or radius <= 0:
         raise ConfigError("mass_u and radius_um must be positive")
+    # tilt_v0 is in units of TrapSpec.energy_unit: the trap is built once
+    energy_unit = HBAR / (mass * radius * radius / HBAR)
     try:
-        trap = TrapSpec(mass=mass, radius=radius,
+        return TrapSpec(mass=mass, radius=radius,
                         omega_perp=config.omega_perp_rad_s,
+                        tilt_amplitude=config.tilt_v0 * energy_unit,
                         tilt_phase=config.tilt_phase_rad,
                         eccentricity=config.eccentricity)
-        # the tilt amplitude key is dimensionless (units of hbar^2 / m R^2)
-        return replace(trap, tilt_amplitude=config.tilt_v0 * trap.energy_unit)
     except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+        # TrapSpec's messages open with its field name; report the key
+        omega = "omega_perp_khz" if config.omega_perp_krad_s is None \
+            else "omega_perp_krad_s"
+        keys = {"omega_perp": omega, "tilt_amplitude": "tilt_v0"}
+        field = str(exc).split()[0]
+        raise ConfigError("key %s: %s"
+                          % (keys.get(field, field), exc)) from exc
 
 
 def build_protocol(config: ScenarioConfig,

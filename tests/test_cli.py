@@ -212,6 +212,23 @@ def test_warnings_print_one_line_without_a_source_line(tmp_path):
         assert name not in done.stdout + done.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-W", "always"]],
+                         ids=["default-filter", "always"])
+def test_a_trap_warning_prints_once(tmp_path, flags):
+    # the CLI builds each trap once, so even `-W always` shows it once
+    path = tmp_path / "wide.cfg"
+    path.write_text(QUICK.replace("radius_um = 5.9", "radius_um = 1.0"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "ringsim", "spectrum", "--config",
+         str(path), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "ringsim: warning: PerturbationValidityWarning: sigma_u/R = 0.505 "
+        "exceeds the transverse expansion trust region (< 0.20)\n")
+
+
 def test_missing_required_key_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.cfg"
     path.write_text("radius_um = 5.9\n")

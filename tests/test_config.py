@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import pytest
 
@@ -130,6 +131,13 @@ _BAD_VALUES = {
         _minimal_text().replace("omega_perp_krad_s = 6.4\n", ""))),
     "zero-mass": ("mass_u", lambda: rs.build_trap(rs.from_text(
         _minimal_text(mass_u="0")))),
+    "negative-frequency": ("omega_perp_krad_s", lambda: rs.build_trap(
+        rs.from_text(_minimal_text(omega_perp_krad_s="-1")))),
+    "negative-frequency-khz": ("omega_perp_khz", lambda: rs.build_trap(
+        rs.from_text(_minimal_text(omega_perp_krad_s="auto",
+                                   omega_perp_khz="-1")))),
+    "negative-tilt": ("tilt_v0", lambda: rs.build_trap(rs.from_text(
+        _minimal_text(tilt_v0="-0.01")))),
 }
 
 
@@ -192,8 +200,22 @@ def test_build_trap_gives_back_the_dimensionless_tilt():
     cfg = rs.from_text(_minimal_text(radius_um="6.5716",
                                      omega_perp_krad_s="5.5276",
                                      tilt_v0="0.0700"))
-    tilt = rs.build_trap(cfg).tilt_internal
-    assert abs(tilt - 0.07) <= math.ulp(0.07)
+    trap = rs.build_trap(cfg)
+    assert abs(trap.tilt_internal - 0.07) <= math.ulp(0.07)
+    # bitwise tilt_v0 in the trap's own energy unit, which this radius tells
+    # apart from hbar^2 / (m R^2) by an ulp
+    assert trap.tilt_amplitude == 0.07 * trap.energy_unit
+
+
+def test_build_trap_builds_and_warns_once():
+    # sigma_u/R = 0.505 is outside the transverse trust region: one warning,
+    # filed here
+    cfg = rs.from_text(_minimal_text(radius_um="1.0"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rs.build_trap(cfg)
+    assert [(w.category, w.filename) for w in caught] == [
+        (rs.PerturbationValidityWarning, __file__)]
 
 
 def test_build_protocol_carries_the_settings():

@@ -7,6 +7,7 @@ import pytest
 
 import ringsim as rs
 from conftest import OMEGA_INTERNAL
+from oracles import ellipse_curve_shift
 
 
 def _tilted(trap, v0_internal):
@@ -153,21 +154,34 @@ def test_ellipticity_oracle_probe_independent(trap):
     np.testing.assert_allclose(coarse, fine, rtol=1e-5)
 
 
-def test_ellipticity_comparison_documents_discrepancy(trap):
+def test_ellipticity_oracle_is_2pi_above_the_closed_form(trap):
     # The closed form and the first-order oracle over the full deformation
-    # operator do NOT agree; the comparison must say so and characterize the
-    # mismatch rather than papering over it.  Removing each side's radial
-    # factor leaves a clean multiplicative constant of 2*pi.
+    # operator do not agree.  Removing each side's radial factor, (1 + 3u)
+    # and (1 - 3u), leaves a clean multiplicative constant of 2*pi.
     t2 = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
                      omega_perp=trap.omega_perp, eccentricity=0.1)
-    comp = rs.ellipticity_comparison(t2)
-    assert not comp.consistent
-    assert "disagree" in comp.characterization
-    u = rs.centrifugal_displacement(t2, comp.ells) / t2.radius
-    bare = comp.ratio * (1.0 + 3.0 * u) / (1.0 - 3.0 * u)
+    ells = np.array([0, 1, 2, 3, 5, 8, 13])
+    ratio = (rs.ellipticity_shift_oracle(t2, ells)
+             / rs.ellipticity_shift(t2, ells))
+    u = rs.centrifugal_displacement(t2, ells) / t2.radius
+    bare = ratio * (1.0 + 3.0 * u) / (1.0 - 3.0 * u)
     fitted = float(np.mean(bare))
     assert fitted / (2.0 * math.pi) == pytest.approx(1.0, abs=1e-4)
     assert float(np.max(np.abs(bare - fitted))) < 1e-3
+
+
+def test_curve_route_is_2pi_above_the_closed_form(trap):
+    # a third route: the thin-ring curve Hamiltonian on an ellipse with R
+    # the semi-major axis has no radial direction, so only the closed
+    # form's (1 + 3u) is divided out; the eps^6 residue of the curve's
+    # extrapolation at probes 0.01 and 0.005 stays below 4e-9
+    t2 = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
+                     omega_perp=trap.omega_perp, eccentricity=0.1)
+    ells = np.array([0, 1, 2, 3, 5, 8])
+    curve = ellipse_curve_shift(ells, "semi-major", probe=0.01) * 0.1 ** 2
+    u = rs.centrifugal_displacement(t2, ells) / t2.radius
+    closed = rs.ellipticity_shift(t2, ells) / t2.energy_unit / (1.0 + 3.0 * u)
+    np.testing.assert_allclose(curve / closed, 2.0 * math.pi, rtol=1e-8)
 
 
 def test_every_correction_adds_its_closed_form_on_and_off_the_ladder(trap):
