@@ -27,6 +27,7 @@ import os
 import sys
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -273,7 +274,10 @@ _COMMANDS = (
 )
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in
+    it, and each call parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ringsim",
         description="ring-trap matter-wave interference simulations")

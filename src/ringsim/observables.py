@@ -105,6 +105,14 @@ def _grid_window(grid_n: int, window: tuple, kind: str):
     return mask, weights
 
 
+@lru_cache(maxsize=32)
+def _grid_phasor(grid_n: int) -> np.ndarray:
+    """Read-only e^{i alpha} on the grid of a `grid_n`-point GridState."""
+    phasor = np.exp(1j * (TWO_PI * np.arange(grid_n) / grid_n))
+    phasor.setflags(write=False)
+    return phasor
+
+
 def _windows_disjoint(first, second) -> bool:
     lo1, hi1 = first
     lo2, hi2 = second
@@ -171,7 +179,9 @@ def circular_centroid(state) -> float:
     """Density centroid angle arg(<e^{i alpha}>) in [0, 2 pi).
 
     For a spectral state the expectation is the ladder correlation
-    sum_ell conj(c_{ell+1}) c_ell, evaluated without building a grid.
+    sum_ell conj(c_{ell+1}) c_ell, evaluated without building a grid.  For
+    a grid state the phasor e^{i alpha} is built once per grid size and
+    cached, since a run reads every record on one grid.
     Raises CentroidUndefinedError when the circular moment is too small to
     carry a direction (e.g. a uniform or antipodally symmetric density).
     """
@@ -180,7 +190,7 @@ def circular_centroid(state) -> float:
         moment = np.sum(np.conj(amps[1:]) * amps[:-1])
     elif isinstance(state, GridState):
         density = np.abs(state.values) ** 2
-        moment = np.sum(density * np.exp(1j * state.angles)) * TWO_PI / \
+        moment = np.sum(density * _grid_phasor(state.size)) * TWO_PI / \
             state.size
     else:
         raise InvalidParameterError("expected a SpectralState or GridState")

@@ -162,12 +162,25 @@ def evolve_linear(state: SpectralState, duration: float,
         raise InvalidParameterError(
             "dispersion cutoff %d does not match state cutoff %d"
             % (model.cutoff, state.cutoff))
-    t_int = duration / model.trap.time_unit
-    phases = model.energies * t_int
-    if flux is not None:
-        theta = flux.accumulated_angle(model.trap, duration)
+    theta = None if flux is None else flux.accumulated_angle(model.trap,
+                                                             duration)
+    return SpectralState(_evolved(state, duration, model, theta))
+
+
+def _evolved(state: SpectralState, durations, model: DispersionModel,
+             theta: float | None = None) -> np.ndarray:
+    """Amplitudes exp(-i E(ell) t - i theta ell) c_ell at durations t (s).
+
+    One row per duration for an array of durations, one ladder for a
+    scalar; the flux angle `theta` is for a scalar duration only.  The one
+    arithmetic of `evolve_linear` and of the linear revival search's
+    blocked scan, so a row is bitwise that duration's `evolve_linear`.
+    """
+    t_int = np.divide(durations, model.trap.time_unit)
+    phases = np.multiply.outer(t_int, model.energies)
+    if theta is not None:
         phases = phases + theta * state.ells
-    return SpectralState(state.amplitudes * np.exp(-1j * phases))
+    return state.amplitudes * np.exp(-1j * phases)
 
 
 def half_revival_superposition(state: SpectralState) -> SpectralState:

@@ -49,12 +49,12 @@ from .errors import (CentroidUndefinedError, ConfigError,
 from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
                           density_profile, fidelity, population_imbalance)
 from .propagator import (BLANES_MOAN, TWO_PI, FluxSpec, InteractionSpec,
-                         _SplitStepEngine, evolve_linear,
+                         _evolved, _SplitStepEngine, evolve_linear,
                          ground_state_imaginary_time, local_phase_per_pair,
                          step_count)
 from .spectrum import DispersionModel, TrapSpec, revival_time
-from .states import (GridState, SpectralState, gaussian_packet, rotate,
-                     to_grid, to_spectral)
+from .states import (GridState, SpectralState, _ifft, gaussian_packet,
+                     rotate, to_grid, to_spectral)
 
 SOLVERS = ("linear", "splitstep")
 
@@ -304,12 +304,26 @@ def _prepare(spec: ProtocolSpec):
                             spec.cutoff, spec.grid_n)
 
 
-def _revival_fidelity(grid: GridState, spec: ProtocolSpec,
-                      psi0: SpectralState, t: float) -> float:
-    """Fidelity of `grid` with the flux-corotated half-turn image of psi0."""
-    angle = 0.0 if spec.flux is None else spec.flux.accumulated_angle(
-        spec.trap, t)
-    return fidelity(to_grid(rotate(psi0, np.pi + angle), spec.grid_n), grid)
+def _revival_target(spec: ProtocolSpec, psi0: SpectralState):
+    """t -> the flux-corotated half-turn image of psi0 at t, as a GridState.
+
+    Bitwise `to_grid(rotate(psi0, pi + flux angle at t), spec.grid_n)`,
+    built from the amplitudes with one exponential, one scatter and one
+    inverse FFT.  Without a flux the image never moves, so it is built
+    once, here, and every readout of a walk or search shares it.
+    """
+    slots = psi0.ells % spec.grid_n
+    buf = np.zeros(spec.grid_n, dtype=np.complex128)
+
+    def image(angle: float) -> GridState:
+        turn = np.exp(-1j * psi0.ells * (np.pi + angle))
+        buf[slots] = psi0.amplitudes * turn
+        return GridState(_ifft(buf) * spec.grid_n / np.sqrt(TWO_PI))
+
+    if spec.flux is None:
+        fixed = image(0.0)
+        return lambda t: fixed
+    return lambda t: image(spec.flux.accumulated_angle(spec.trap, t))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +372,7 @@ def _splitstep_objective(spec: ProtocolSpec):
     nearest earlier checkpoint instead of restarting from release.
     """
     psi0_s, psi0_g = _prepare(spec)
+    target = _revival_target(spec, psi0_s)
     driver = _SplitStepDriver(spec, psi0_g)
     t_pre = 0.5 * spec.search_window[0] * revival_time(spec.trap)
     n = step_count(t_pre / driver.time_unit, driver.dt_int)
@@ -378,10 +393,29 @@ def _splitstep_objective(spec: ProtocolSpec):
             driver.advance(times[i], t)
             times.insert(i + 1, t)
             states.insert(i + 1, driver.values)
-        return _revival_fidelity(GridState(driver.values[0]), spec, psi0_s,
-                                 t)
+        return fidelity(target(t), GridState(driver.values[0]))
 
     return objective, checkpoints
+
+
+# The linear search's coarse scan evolves at most this many times at once:
+# one row each, so a block holds SCAN_BLOCK ladders, not the whole window.
+SCAN_BLOCK = 16
+
+
+def _linear_scan(psi0: SpectralState, target: SpectralState, times,
+                 model: DispersionModel) -> list:
+    """fidelity(target, evolve_linear(psi0, t, model)) at each of `times`.
+
+    Bitwise those values, from one exponential per block of SCAN_BLOCK
+    times and one overlap per row, without a validated state per time.
+    """
+    out = []
+    for start in range(0, len(times), SCAN_BLOCK):
+        rows = _evolved(psi0, times[start:start + SCAN_BLOCK], model)
+        out += [float(abs(np.vdot(target.amplitudes, row)) ** 2)
+                for row in rows]
+    return out
 
 
 def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
@@ -401,8 +435,12 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     ideal = revival_time(spec.trap)
     lo, hi = (edge * ideal for edge in spec.search_window)
     resolution = spec.search_resolution_factor * ideal
+    pitch = 0.25 / spec.trap.omega_perp
+    count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
+    times = np.linspace(lo, hi, count)
     if spec.solver == "splitstep":
         objective, checkpoints = _splitstep_objective(spec)
+        coarse = [objective(t) for t in times]
     else:
         # the target corotates with the flux, so a constant flux cancels
         # exactly: evolve without it against the plain half-turn image
@@ -410,11 +448,8 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
         psi0, _ = _prepare(spec)
         target = rotate(psi0, np.pi)
         objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
+        coarse = _linear_scan(psi0, target, times, model)
         checkpoints = ()
-    pitch = 0.25 / spec.trap.omega_perp
-    count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
-    times = np.linspace(lo, hi, count)
-    coarse = [objective(t) for t in times]
     best = int(np.argmax(coarse))
     if coarse[best] <= SEARCH_FIDELITY_FLOOR:
         raise RevivalNotFoundError(
@@ -463,6 +498,9 @@ class _SplitStepDriver:
         self.profile = spec.imprint.profile_values(self.engine.angles)
         self.phases = np.array(phases, dtype=float)
         self.starts = np.array(starts, dtype=float)
+        # every instant where the Hamiltonian may switch, in time order
+        self.edges = sorted({self.turn_on, *self.starts,
+                             *(self.starts + self.duration)})
         # evolution exp(-i V tau) must reproduce exp(+i phase * profile); an
         # instant imprint has no pulse
         self.rates = np.zeros_like(self.phases)
@@ -485,8 +523,11 @@ class _SplitStepDriver:
         """Pulse potential over [a, b], one row per run, or None if none acts.
 
         A run whose pulse does not cover [a, b], or whose phase is zero,
-        gets a zero row.  No pulse acts before the first imprint.
+        gets a zero row.  No pulse acts before the first imprint, and none
+        at all with an instant imprint.
         """
+        if self.duration == 0:
+            return None
         on = (self.starts <= a) & (b <= self.starts + self.duration)
         rates = np.where(on, self.rates, 0.0)
         if not rates.any():
@@ -494,8 +535,7 @@ class _SplitStepDriver:
         return rates[:, None] * self.profile
 
     def advance(self, ta: float, tb: float) -> None:
-        edges = {self.turn_on, *self.starts, *(self.starts + self.duration)}
-        cuts = [ta] + sorted(e for e in edges if ta < e < tb) + [tb]
+        cuts = [ta] + [e for e in self.edges if ta < e < tb] + [tb]
         for a, b in zip(cuts[:-1], cuts[1:]):
             self.values = self.engine.propagate(
                 self.values, (b - a) / self.time_unit, self.dt_int,
@@ -526,9 +566,11 @@ def _schedule(spec: ProtocolSpec, t_star: float):
     return t_imp, total
 
 
-def _measure(grid: GridState, spec: ProtocolSpec, psi0: SpectralState,
-             t: float):
-    """(t, fidelity, imbalance, centroid) at protocol time t, NaN-tolerant."""
+def _measure(grid: GridState, spec: ProtocolSpec, target, t: float):
+    """(t, fidelity, imbalance, centroid) at protocol time t, NaN-tolerant.
+
+    `target` is the walk's `_revival_target`.
+    """
     center = spec.packet_center
     try:
         imbalance = population_imbalance(
@@ -541,7 +583,7 @@ def _measure(grid: GridState, spec: ProtocolSpec, psi0: SpectralState,
         centroid = circular_centroid(grid)
     except CentroidUndefinedError:
         centroid = math.nan
-    return t, _revival_fidelity(grid, spec, psi0, t), imbalance, centroid
+    return t, fidelity(target(t), grid), imbalance, centroid
 
 
 def _walk(runs):
@@ -572,6 +614,7 @@ def _walk(runs):
     t_star = spec.revival_time_s if store is None else store.time_s
     schedule = [_schedule(run, t_star) for run in runs]
     psi0_s, psi0_g = _prepare(spec)
+    target = _revival_target(spec, psi0_s)
     driver = _SplitStepDriver(spec, psi0_g,
                               [run.imprint.phase for run in runs],
                               [t_imp for t_imp, _ in schedule])
@@ -606,7 +649,7 @@ def _walk(runs):
             continue
         grid = GridState(driver.values[i if kind == "readout" else 0])
         measured[kind][i] = ((t, density_profile(grid)) if kind == "snapshot"
-                             else _measure(grid, spec, psi0_s, t))
+                             else _measure(grid, spec, target, t))
     return t_star, driver.dt_factor, measured
 
 

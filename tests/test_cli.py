@@ -256,6 +256,22 @@ def test_invalid_flag_values_exit_2(quick_cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_the_reused_parser_keeps_no_state_between_calls(quick_cfg, tmp_path,
+                                                        capsys):
+    first, second, third = (tmp_path / name for name in ("a", "b", "c"))
+    assert main(["revival", "--config", quick_cfg, "--out", str(first),
+                 "--snapshots", "3"]) == 0
+    assert main(["revival", "--config", quick_cfg, "--out", str(second)]) == 0
+    assert (first / "revival_snapshots.csv").exists()
+    assert not (second / "revival_snapshots.csv").exists()
+    with pytest.raises(SystemExit) as info:
+        main(["revival", "--config", quick_cfg, "--snapshots", "many"])
+    assert info.value.code == 2
+    assert main(["sense", "--config", quick_cfg, "--out", str(third)]) == 0
+    assert (third / "sense.csv").exists()
+    capsys.readouterr()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["defragment"])

@@ -9,7 +9,8 @@ import pytest
 import ringsim as rs
 from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
                                 step_count)
-from ringsim.protocol import _measure
+from ringsim.protocol import (SCAN_BLOCK, _golden_max, _linear_scan,
+                              _measure, _revival_target)
 
 
 def _phase_per_pair(scheme):
@@ -358,9 +359,94 @@ def test_a_readout_with_both_wedges_empty_files_nan(trap):
     values = np.zeros(spec.grid_n, dtype=complex)
     values[[spec.grid_n // 4, 3 * spec.grid_n // 4]] = 1.0
     psi0 = rs.gaussian_packet(0.0, spec.effective_packet_width, spec.cutoff)
-    t, _, imbalance, centroid = _measure(rs.GridState(values), spec, psi0,
-                                         0.1)
+    t, _, imbalance, centroid = _measure(rs.GridState(values), spec,
+                                         _revival_target(spec, psi0), 0.1)
     assert t == 0.1 and math.isnan(imbalance) and math.isnan(centroid)
+
+
+@pytest.mark.parametrize("turn_on", [None, 0.5], ids=["no-flux",
+                                                      "flux-on-mid-run"])
+def test_a_readout_is_bitwise_the_public_composition(trap, revival_s,
+                                                     turn_on):
+    # the walk's target, built once without a flux and per time with one,
+    # against the public functions a readout is made of
+    flux = None if turn_on is None else rs.FluxSpec(
+        0.8 * rs.HBAR, turn_on * revival_s)
+    spec = _linear_spec(trap, flux=flux, packet_center=0.4)
+    model = spec.dispersion_model()
+    psi0 = rs.gaussian_packet(0.4, spec.effective_packet_width, spec.cutoff)
+    target = _revival_target(spec, psi0)
+    for t in np.array([0.001, 0.003, 0.998, 1.0, 1.002]) * revival_s:
+        grid = rs.to_grid(rs.evolve_linear(psi0, t, model, flux), spec.grid_n)
+        theta = 0.0 if flux is None else flux.accumulated_angle(trap, t)
+        image = rs.to_grid(rs.rotate(psi0, math.pi + theta), spec.grid_n)
+        imbalance = rs.population_imbalance(
+            grid, weight=spec.readout_weight,
+            right_window=(0.4 - 0.5 * math.pi, 0.4 + 0.5 * math.pi),
+            left_window=(0.4 + 0.5 * math.pi, 0.4 + 1.5 * math.pi))
+        assert _measure(grid, spec, target, t) == (
+            t, rs.fidelity(image, grid), imbalance,
+            rs.circular_centroid(grid))
+    assert (target(0.0) is target(revival_s)) == (flux is None)
+
+
+def test_a_non_finite_row_still_fails_its_readout(trap, revival_s,
+                                                  monkeypatch):
+    # every measured row becomes a GridState, which refuses it
+    original = _SplitStepEngine.propagate
+
+    def poisoned(self, values, *args, **kwargs):
+        out = original(self, values, *args, **kwargs).copy()
+        out[..., 0] = math.nan
+        return out
+
+    monkeypatch.setattr(_SplitStepEngine, "propagate", poisoned)
+    spec = _linear_spec(trap, revival_time_s=revival_s, n_records=3)
+    with pytest.raises(rs.InvalidParameterError, match="finite"):
+        rs.run_protocol(spec)
+
+
+def _scan_spec(trap):
+    # a flux, which the linear objective cancels, and the tilt and ellipse
+    # terms, which move every energy
+    tilted = dataclasses.replace(trap, tilt_amplitude=0.02 * trap.energy_unit,
+                                 eccentricity=0.05)
+    return _linear_spec(tilted, flux=rs.FluxSpec(0.3 * rs.HBAR, 1e-3),
+                        include_tilt=True, include_ellipticity=True)
+
+
+def _per_point_objective(spec):
+    model = spec.dispersion_model()
+    psi0 = rs.gaussian_packet(spec.packet_center, spec.effective_packet_width,
+                              spec.cutoff)
+    target = rs.rotate(psi0, math.pi)
+    return (lambda t: rs.fidelity(target, rs.evolve_linear(psi0, t, model)),
+            (psi0, target, model))
+
+
+def test_the_blocked_linear_scan_is_bitwise_the_per_point_objective(
+        trap, revival_s):
+    objective, (psi0, target, model) = _per_point_objective(_scan_spec(trap))
+    times = np.linspace(0.98 * revival_s, 1.02 * revival_s,
+                        2 * SCAN_BLOCK + 5)
+    assert _linear_scan(psi0, target, times, model) == [objective(t)
+                                                        for t in times]
+
+
+def test_the_linear_search_finds_the_time_of_a_per_point_scan(trap):
+    # the search's coarse grid and golden-section bracket, scanned one
+    # point at a time
+    spec = _scan_spec(trap)
+    objective, _ = _per_point_objective(spec)
+    ideal = rs.revival_time(spec.trap)
+    lo, hi = 0.98 * ideal, 1.02 * ideal
+    count = math.ceil((hi - lo) / (0.25 / spec.trap.omega_perp)) + 1
+    times = np.linspace(lo, hi, count)
+    assert count % SCAN_BLOCK != 0
+    best = int(np.argmax([objective(t) for t in times]))
+    expected = _golden_max(objective, times[best - 1], times[best + 1],
+                           1e-6 * ideal)
+    assert rs.find_revival_time(spec).time_s == expected
 
 
 # --------------------------------------------------------------------------

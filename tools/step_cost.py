@@ -1,4 +1,5 @@
-"""Time one FFT pair and the packet preparation of the reference scenario.
+"""Time one FFT pair, the packet preparation and the readouts of the
+reference scenario.
 
     python3 tools/step_cost.py [--steps 10000] [--repeats 5]
 
@@ -8,17 +9,26 @@ atoms at 1 a0, `grid_n` 512, the derived step), then times
 scheme for batches of 1, 7 and 13 rows (the shared prefix, the
 `sweep_splitstep` batch and a 13-phase sweep).  Prints the best of
 `--repeats` timings per batch, in microseconds per FFT pair (one kinetic
-substep, the unit of cost) and per state-pair, and then the best of
-`--repeats` wall times of one uncached preparation of the reference
-packet (the imaginary-time relaxation every split-step run starts with).
+substep, the unit of cost) and per state-pair, and then three lines, each
+the best of `--repeats`:
+
+    prepare        one uncached preparation of the reference packet (the
+                   imaginary-time relaxation every split-step run starts
+                   with), in s
+    search-point   one coarse point of the linear revival search's scan,
+                   on an interaction-free linear copy of the scenario, in us
+    readout        one record readout (`_measure`: fidelity, imbalance and
+                   centroid) of the prepared packet, in us
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,10 +36,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from ringsim.config import build_protocol, from_defaults  # noqa: E402
-from ringsim.protocol import (_prepare, _prepared_packet,  # noqa: E402
+from ringsim.protocol import (_linear_scan, _measure,  # noqa: E402
+                              _prepare, _prepared_packet, _revival_target,
                               _SplitStepDriver)
+from ringsim.spectrum import revival_time  # noqa: E402
+from ringsim.states import rotate  # noqa: E402
 
 ROWS = (1, 7, 13)
+READOUTS = 200
 
 
 def _best_of(repeats: int, run) -> float:
@@ -61,6 +75,33 @@ def prepare_cost(spec, repeats: int) -> float:
         spec.effective_packet_width, spec.cutoff, spec.grid_n))
 
 
+def search_point_cost(spec, repeats: int) -> float:
+    """Best-of-`repeats` seconds per point of the linear search's coarse
+    scan, on the search's own grid of a linear copy of `spec`."""
+    spec = replace(spec, solver="linear", interaction=None)
+    model = spec.dispersion_model()
+    psi0, _ = _prepare(spec)
+    target = rotate(psi0, math.pi)
+    ideal = revival_time(spec.trap)
+    lo, hi = (edge * ideal for edge in spec.search_window)
+    count = math.ceil((hi - lo) / (0.25 / spec.trap.omega_perp)) + 1
+    times = np.linspace(lo, hi, count)
+    return _best_of(repeats, lambda: _linear_scan(
+        psi0, target, times, model)) / count
+
+
+def readout_cost(spec, repeats: int) -> float:
+    """Best-of-`repeats` seconds per record readout of the prepared packet,
+    against the walk's target, over READOUTS readouts."""
+    psi0_s, psi0_g = _prepare(spec)
+    target = _revival_target(spec, psi0_s)
+
+    def readouts():
+        for k in range(READOUTS):
+            _measure(psi0_g, spec, target, 1e-3 * k)
+    return _best_of(repeats, readouts) / READOUTS
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=10000)
@@ -75,6 +116,9 @@ def main(argv=None) -> int:
     for rows, cost in pair_costs(spec, args.steps, args.repeats).items():
         print("%4d  %7.1f  %13.1f" % (rows, 1e6 * cost, 1e6 * cost / rows))
     print("prepare  %.3f s" % prepare_cost(spec, args.repeats))
+    print("search-point  %.1f us" % (1e6 * search_point_cost(
+        spec, args.repeats)))
+    print("readout  %.1f us" % (1e6 * readout_cost(spec, args.repeats)))
     return 0
 
 
