@@ -31,13 +31,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (ScenarioConfig, _format_value, build_protocol,
-                     build_trap, from_defaults, from_file)
+from .config import (ScenarioConfig, _format_value, _interaction,
+                     build_protocol, build_trap, from_defaults, from_file)
 from .constants import (BOHR_MAGNETON, BOHR_RADIUS, DEBYE,
                         ELEMENTARY_CHARGE, HBAR)
 from .errors import (ConfigError, InvalidParameterError, NotApplicableError,
                      RingError)
-from .propagator import InteractionSpec
 from .protocol import ProtocolSpec, run_protocol, sweep_phase, \
     timing_sensitivity
 from .sensing import (GaugeScenario, flux_action, gravitational_phase,
@@ -50,12 +49,12 @@ from .spectrum import (DispersionModel, centrifugal_shift, ellipticity_shift,
 TWO_PI = 2.0 * np.pi
 
 
-def _header_lines(config: ScenarioConfig, trap, command: str,
+def _header_lines(config: ScenarioConfig, trap, interaction, command: str,
                   extra=()) -> list:
+    # with no atoms the coupling reads 0, not the -0 of an attractive length
     g_int = 0.0
-    if config.atom_number > 0:
-        g_int = InteractionSpec(config.scattering_length_a0 * BOHR_RADIUS,
-                                config.atom_number).coupling_internal(trap)
+    if interaction.atom_number > 0:
+        g_int = interaction.coupling_internal(trap)
     lines = ["# ringsim %s" % command,
              "# config_sha256 = %s" % config.sha256()]
     for line in config.canonical_text().splitlines():
@@ -92,7 +91,7 @@ def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:
     print("revival fidelity:       %.17g" % result.revival_fidelity)
     print("readout imbalance:      %.17g" % result.imbalance)
     print("step dt_factor:         %.17g" % result.spec.dt_factor)
-    header = _header_lines(config, spec.trap, "revival", [
+    header = _header_lines(config, spec.trap, spec.interaction, "revival", [
         ("optimized_revival_s", result.revival_time_s),
         ("total_duration_s", result.total_duration_s),
         ("revival_fidelity", result.revival_fidelity),
@@ -141,8 +140,8 @@ def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
     for name in config.sweep_variants:
         spec = _variant_spec(base, name)
         rows = sweep_phase(spec, phases)
-        header = _header_lines(config, base.trap, "sweep-phase",
-                               [("variant", name)])
+        header = _header_lines(config, base.trap, base.interaction,
+                               "sweep-phase", [("variant", name)])
         path = os.path.join(out_dir, "sweep_phase_%s.csv" % name)
         _write_csv(path, header, ["phi_rad", "imbalance"], rows)
         written.append(path)
@@ -168,7 +167,7 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     si = [ideal_si, tilt_si, centrifugal_si, ellipticity_si, total_si]
     rows = np.column_stack(
         [ells] + si + [e / trap.energy_unit for e in si])
-    header = _header_lines(config, trap, "spectrum")
+    header = _header_lines(config, trap, _interaction(config), "spectrum")
     path = os.path.join(out_dir, "spectrum.csv")
     _write_csv(path, header, columns,
                [[int(r[0])] + list(r[1:]) for r in rows])
@@ -178,6 +177,7 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
 
 def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     trap = build_trap(config)
+    interaction = _interaction(config)
     charge = config.sense_charge_e * ELEMENTARY_CHARGE
     moment = config.sense_magnetic_moment_bohr * BOHR_MAGNETON
     dipole = config.sense_electric_dipole_debye * DEBYE
@@ -193,11 +193,10 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     resolution = config.sense_resolution_rad
     if resolution is None:
         resolution = trap.sigma_u / trap.radius
-    n_peak = peak_density(trap, config.atom_number)
-    n_mean = mean_density(trap, config.atom_number)
+    n_peak = peak_density(trap, interaction.atom_number)
+    n_mean = mean_density(trap, interaction.atom_number)
     phi_g = gravitational_phase(config.sense_tilt_angle_rad, trap)
-    phi_a = scattering_phase(config.scattering_length_a0 * BOHR_RADIUS,
-                             n_peak, trap)
+    phi_a = scattering_phase(interaction.scattering_length, n_peak, trap)
     try:
         b_min = min_detectable_field(resolution, charge, trap)
     except NotApplicableError as exc:
@@ -239,7 +238,7 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
         ("min_detectable_scattering_length", da_min, "m"),
         ("min_detectable_scattering_length_a0", da_min / BOHR_RADIUS, "a0"),
     ]
-    header = _header_lines(config, trap, "sense")
+    header = _header_lines(config, trap, interaction, "sense")
     path = os.path.join(out_dir, "sense.csv")
     _write_csv(path, header, ["name", "value", "unit"], rows)
     print("wrote %s" % path)
@@ -250,7 +249,7 @@ def _cmd_timing(config: ScenarioConfig, args, out_dir: str) -> int:
     spec = build_protocol(config)
     offsets = [u * 1e-6 for u in config.timing_offsets_us]
     rows = timing_sensitivity(spec, offsets)
-    header = _header_lines(config, spec.trap, "timing")
+    header = _header_lines(config, spec.trap, spec.interaction, "timing")
     path = os.path.join(out_dir, "timing.csv")
     _write_csv(path, header, ["offset_s", "fidelity", "imbalance"], rows)
     for row in rows:

@@ -297,6 +297,12 @@ def build_trap(config: ScenarioConfig) -> TrapSpec:
                           % (keys.get(field, field), exc)) from exc
 
 
+def _interaction(config: ScenarioConfig) -> InteractionSpec:
+    """InteractionSpec in SI units from scattering_length_a0, atom_number."""
+    return InteractionSpec(config.scattering_length_a0 * BOHR_RADIUS,
+                           config.atom_number)
+
+
 def build_protocol(config: ScenarioConfig,
                    n_snapshots: int = 0) -> ProtocolSpec:
     """ProtocolSpec for the configured scenario.
@@ -306,8 +312,7 @@ def build_protocol(config: ScenarioConfig,
     """
     try:
         trap = build_trap(config)
-        interaction = InteractionSpec(
-            config.scattering_length_a0 * BOHR_RADIUS, config.atom_number)
+        interaction = _interaction(config)
         flux = None
         if config.flux_rotation_rad != 0.0:
             flux = FluxSpec(config.flux_rotation_rad * HBAR,

@@ -198,7 +198,9 @@ def circular_centroid(state) -> float:
         raise CentroidUndefinedError(
             "circular moment %.3g is too small to define a centroid"
             % np.abs(moment))
-    return float(np.angle(moment) % TWO_PI)
+    # a tiny negative angle wraps to 2 pi in floating point; that is 0
+    angle = float(np.angle(moment) % TWO_PI)
+    return 0.0 if angle == TWO_PI else angle
 
 
 @dataclass(frozen=True)

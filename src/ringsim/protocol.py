@@ -354,8 +354,15 @@ class RevivalSearch:
     states: tuple = ()
 
     def before(self, t: float):
-        """(time, values) of the latest checkpoint no later than t."""
+        """(time, values) of the latest checkpoint no later than t.
+
+        Raises InvalidParameterError when there is none: t before release,
+        or any t for a linear search, which keeps no checkpoints.
+        """
         i = bisect_right(self.times, t) - 1
+        if i < 0:
+            raise InvalidParameterError(
+                "t = %.6g s has no search checkpoint at or before it" % t)
         return self.times[i], self.states[i]
 
 

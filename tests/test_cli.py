@@ -229,6 +229,47 @@ def test_a_trap_warning_prints_once(tmp_path, flags):
         "exceeds the transverse expansion trust region (< 0.20)\n")
 
 
+ATTRACTIVE_SPLITSTEP = (
+    QUICK.replace("scattering_length_a0 = 0.0", "scattering_length_a0 = -0.2")
+    .replace("atom_number = 20000", "atom_number = 2000")
+    .replace("solver = linear", "solver = splitstep")
+    .replace("n_records = 9", "n_records = 5")
+    .replace("sweep_phi_count = 5", "sweep_phi_count = 3")
+    .replace("sweep_variants = ideal,noninteracting",
+             "sweep_variants = ideal,noninteracting,interacting")
+    .replace("timing_offsets_us = 0,50,150", "timing_offsets_us = 0,50"))
+
+
+@pytest.mark.parametrize("command", ["revival", "sweep-phase", "timing",
+                                     "spectrum", "sense"])
+def test_each_subcommand_builds_its_interaction_once(tmp_path, command):
+    # the headers, the sense table and the run share one InteractionSpec,
+    # so even `-W always` shows its attractive-coupling warning once
+    path = tmp_path / "attractive.cfg"
+    path.write_text(ATTRACTIVE_SPLITSTEP)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "ringsim", command,
+         "--config", str(path), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("AttractiveCouplingWarning") == 1, done.stderr
+
+
+@pytest.mark.parametrize("command, name", [("spectrum", "spectrum.csv"),
+                                           ("revival", "revival.csv")])
+def test_no_atoms_read_a_zero_coupling_not_minus_zero(tmp_path, command,
+                                                      name):
+    path = tmp_path / "empty.cfg"
+    path.write_text(QUICK.replace("scattering_length_a0 = 0.0",
+                                  "scattering_length_a0 = -1.0")
+                    .replace("atom_number = 20000", "atom_number = 0"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    header, _, _ = _read_csv(out / name)
+    assert "# internal coupling = 0" in header
+
+
 def test_missing_required_key_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.cfg"
     path.write_text("radius_um = 5.9\n")
@@ -302,12 +343,14 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, change", [
     ("sense", ("atom_number = 20000", "atom_number = -1")),
+    ("spectrum", ("atom_number = 20000", "atom_number = -1")),
     ("sense", ("", "sense_phase_resolution_rad = 0")),
     ("sense", ("", "sense_charge_e = 0")),
     ("revival", ("", "packet_width = 0.02")),
     ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000")),
     ("revival", ("", "imprint_time_ms = 500")),
-], ids=["negative-atom-number", "zero-phase-resolution", "neutral-charge",
+], ids=["negative-atom-number", "negative-atom-number-spectrum",
+        "zero-phase-resolution", "neutral-charge",
         "cutoff-too-small-for-the-packet", "pulse-before-release",
         "pulse-after-readout"])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,

@@ -98,6 +98,14 @@ def test_centroid_of_packets():
                                                              abs=1e-12)
 
 
+def test_centroid_of_a_packet_at_zero_is_zero_not_a_full_turn():
+    # the grid moment's angle is a tiny negative number, which `% 2 pi`
+    # rounds up to exactly 2 pi; the spectral branch reads 0
+    packet = rs.gaussian_packet(0.0, 0.12, 128)
+    assert rs.circular_centroid(rs.to_grid(packet, 512)) == 0.0
+    assert rs.circular_centroid(packet) == 0.0
+
+
 def test_centroid_undefined_for_symmetric_state():
     with pytest.raises(rs.CentroidUndefinedError):
         rs.circular_centroid(rs.SpectralState(np.array([0, 1, 0], complex)))

@@ -167,6 +167,14 @@ def test_search_finds_the_ideal_revival(trap, revival_s):
     assert found.dt_factor is None and found.times == found.states == ()
 
 
+@pytest.mark.parametrize("search", [
+    rs.RevivalSearch(1.0, 1e-5, (0.0, 0.1, 0.2), ("a", "b", "c")),
+    rs.RevivalSearch(1.0)], ids=["split-step", "linear"])
+def test_no_checkpoint_answers_a_time_before_release(search):
+    with pytest.raises(rs.InvalidParameterError, match="t = -0.05 s"):
+        search.before(-0.05)
+
+
 def test_search_reports_a_dead_window(trap):
     spec = _linear_spec(trap, search_window=(0.0015, 0.015))
     with pytest.raises(rs.RevivalNotFoundError):

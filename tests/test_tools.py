@@ -16,13 +16,14 @@ def test_step_cost_prints_one_line_per_batch(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[1].split() == ["rows", "us/pair", "us/state-pair"]
-    table = [line.split() for line in lines[2:-3]]
+    table = [line.split() for line in lines[2:-4]]
     assert [int(row[0]) for row in table] == [1, 7, 13]
     for _, per_pair, per_state in table:
         assert 0 < float(per_state) <= float(per_pair)
-    costs = [line.split() for line in lines[-3:]]
+    costs = [line.split() for line in lines[-4:]]
     assert [(label, unit) for label, _, unit in costs] == [
-        ("prepare", "s"), ("search-point", "us"), ("readout", "us")]
+        ("prepare", "s"), ("search-point", "us"), ("readout", "us"),
+        ("readout-flux", "us")]
     assert all(float(value) > 0 for _, value, _ in costs)
 
 

@@ -9,7 +9,7 @@ atoms at 1 a0, `grid_n` 512, the derived step), then times
 scheme for batches of 1, 7 and 13 rows (the shared prefix, the
 `sweep_splitstep` batch and a 13-phase sweep).  Prints the best of
 `--repeats` timings per batch, in microseconds per FFT pair (one kinetic
-substep, the unit of cost) and per state-pair, and then three lines, each
+substep, the unit of cost) and per state-pair, and then four lines, each
 the best of `--repeats`:
 
     prepare        one uncached preparation of the reference packet (the
@@ -19,6 +19,8 @@ the best of `--repeats`:
                    on an interaction-free linear copy of the scenario, in us
     readout        one record readout (`_measure`: fidelity, imbalance and
                    centroid) of the prepared packet, in us
+    readout-flux   the same readout on a copy of the scenario with a 0.3 rad
+                   gauge flux, whose half-turn target moves with t, in us
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from ringsim.config import build_protocol, from_defaults  # noqa: E402
+from ringsim.constants import HBAR  # noqa: E402
+from ringsim.propagator import FluxSpec  # noqa: E402
 from ringsim.protocol import (_linear_scan, _measure,  # noqa: E402
                               _prepare, _prepared_packet, _revival_target,
                               _SplitStepDriver)
@@ -44,6 +48,7 @@ from ringsim.states import rotate  # noqa: E402
 
 ROWS = (1, 7, 13)
 READOUTS = 200
+FLUX_RAD = 0.3
 
 
 def _best_of(repeats: int, run) -> float:
@@ -119,6 +124,8 @@ def main(argv=None) -> int:
     print("search-point  %.1f us" % (1e6 * search_point_cost(
         spec, args.repeats)))
     print("readout  %.1f us" % (1e6 * readout_cost(spec, args.repeats)))
+    flux = replace(spec, flux=FluxSpec(FLUX_RAD * HBAR))
+    print("readout-flux  %.1f us" % (1e6 * readout_cost(flux, args.repeats)))
     return 0
 
 
