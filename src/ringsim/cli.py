@@ -136,10 +136,14 @@ def _variant_spec(base: ProtocolSpec, name: str) -> ProtocolSpec:
 def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
     base = build_protocol(config)
     phases = np.linspace(0.0, TWO_PI, config.sweep_phi_count)
-    written = []
+    written, fringes = [], {}
     for name in config.sweep_variants:
+        # variants with equal specs (a coupling-free config's interacting
+        # and noninteracting) share one sweep
         spec = _variant_spec(base, name)
-        rows = sweep_phase(spec, phases)
+        if spec not in fringes:
+            fringes[spec] = sweep_phase(spec, phases)
+        rows = fringes[spec]
         header = _header_lines(config, base.trap, base.interaction,
                                "sweep-phase", [("variant", name)])
         path = os.path.join(out_dir, "sweep_phase_%s.csv" % name)

@@ -23,25 +23,70 @@ TWO_PI = 2.0 * np.pi
 WEIGHT_KINDS = ("cosine_squared", "uniform")
 
 
-def fidelity(a, b) -> float:
+def fidelity(a, b):
     """Squared overlap |<a|b>|^2 of two states of the same representation.
 
     States must be both spectral with equal cutoff or both grid with equal
     size; mixing representations silently hides truncation error, so it is
-    refused rather than converted.
+    refused rather than converted.  Two grid-value arrays of equal shape
+    (rows, grid_n) give one overlap per row pair, each bitwise that of the
+    two rows as GridStates.
     """
     if isinstance(a, SpectralState) and isinstance(b, SpectralState):
         if a.cutoff != b.cutoff:
             raise InvalidParameterError("cutoff mismatch in fidelity")
-        overlap = np.vdot(a.amplitudes, b.amplitudes)
-    elif isinstance(a, GridState) and isinstance(b, GridState):
+        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    if isinstance(a, GridState) and isinstance(b, GridState):
         if a.size != b.size:
             raise InvalidParameterError("grid size mismatch in fidelity")
-        overlap = np.vdot(a.values, b.values) * TWO_PI / a.size
-    else:
+        return _grid_fidelity(a.values, b.values)
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        a, b = _grid_rows(a), _grid_rows(b)
+        if a.shape != b.shape:
+            raise InvalidParameterError(
+                "grid rows differ in shape in fidelity")
+        return np.array([_grid_fidelity(x, y) for x, y in zip(a, b)])
+    raise InvalidParameterError(
+        "fidelity requires two states of the same representation")
+
+
+def _grid_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    return float(abs(np.vdot(a, b) * TWO_PI / len(a)) ** 2)
+
+
+def _grid_rows(values) -> np.ndarray:
+    """`values` as (rows, grid_n) complex grid values, checked per row as
+    `GridState` checks its values."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 2:
         raise InvalidParameterError(
-            "fidelity requires two states of the same representation")
-    return float(abs(overlap) ** 2)
+            "grid values must be two-dimensional, one state per row")
+    n = values.shape[1]
+    if n < 4 or n & (n - 1):
+        raise InvalidParameterError("grid size must be a power of two >= 4")
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("grid values must be finite")
+    return values
+
+
+def _densities(state, grid_n: int | None):
+    """(|psi|^2 with one row per state, whether `state` was one state).
+
+    `state` is a SpectralState, a GridState or an array of grid values of
+    shape (rows, grid_n).
+    """
+    if not isinstance(state, np.ndarray):
+        return np.abs(_as_grid(state, grid_n).values)[None, :] ** 2, True
+    rows = _grid_rows(state)
+    if grid_n is not None and grid_n != rows.shape[1]:
+        raise InvalidParameterError("grid_n does not match the state's grid")
+    return np.abs(rows) ** 2, False
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    # one 1-D sum per row, which rounds as `np.sum` of the row alone; a sum
+    # along axis 1 rounds differently
+    return np.array([np.add.reduce(row) for row in rows])
 
 
 def _as_grid(state, grid_n: int | None) -> GridState:
@@ -143,7 +188,7 @@ def window_snap_distance(window, grid_n: int) -> float:
 def population_imbalance(state, *, weight: str = "cosine_squared",
                          right_window=( -0.5 * np.pi, 0.5 * np.pi),
                          left_window=(0.5 * np.pi, 1.5 * np.pi),
-                         grid_n: int | None = None) -> float:
+                         grid_n: int | None = None):
     """Normalized population difference (N_R - N_L) / (N_R + N_L).
 
     Windows are open angular intervals (counterclockwise from first to
@@ -153,29 +198,33 @@ def population_imbalance(state, *, weight: str = "cosine_squared",
     smoothly at the edges of a half-ring window so the readout is
     insensitive to how grid points sit on the boundary.  Raises
     IndeterminateImbalanceError when the total weighted population is too
-    small to normalize.
+    small to normalize.  An array of grid values of shape (rows, grid_n)
+    gives one imbalance per row, bitwise that of the row as a GridState,
+    and NaN for a row whose population is too small.
     """
     if weight not in WEIGHT_KINDS:
         raise InvalidParameterError(
             "weight must be one of %s" % (WEIGHT_KINDS,))
     if not _windows_disjoint(right_window, left_window):
         raise InvalidParameterError("readout windows overlap")
-    grid = _as_grid(state, grid_n)
-    density = np.abs(grid.values) ** 2
+    density, single = _densities(state, grid_n)
     totals = []
     for window in (right_window, left_window):
-        mask, w = _grid_window(grid.size, tuple(window), weight)
-        totals.append(float(np.sum(density[mask] * w)))
+        mask, w = _grid_window(density.shape[1], tuple(window), weight)
+        totals.append(_row_sums(density[:, mask] * w))
     n_right, n_left = totals
     total = n_right + n_left
-    if total < 1e-12:
+    if single and total[0] < 1e-12:
         raise IndeterminateImbalanceError(
             "total weighted population %.3g is too small to normalize"
-            % total)
-    return (n_right - n_left) / total
+            % total[0])
+    imbalance = np.divide(n_right - n_left, total,
+                          out=np.full(len(total), np.nan),
+                          where=total >= 1e-12)
+    return float(imbalance[0]) if single else imbalance
 
 
-def circular_centroid(state) -> float:
+def circular_centroid(state):
     """Density centroid angle arg(<e^{i alpha}>) in [0, 2 pi).
 
     For a spectral state the expectation is the ladder correlation
@@ -184,23 +233,29 @@ def circular_centroid(state) -> float:
     cached, since a run reads every record on one grid.
     Raises CentroidUndefinedError when the circular moment is too small to
     carry a direction (e.g. a uniform or antipodally symmetric density).
+    An array of grid values of shape (rows, grid_n) gives one angle per
+    row, bitwise that of the row as a GridState, and NaN for a row whose
+    moment is too small.
     """
     if isinstance(state, SpectralState):
         amps = state.amplitudes
-        moment = np.sum(np.conj(amps[1:]) * amps[:-1])
-    elif isinstance(state, GridState):
-        density = np.abs(state.values) ** 2
-        moment = np.sum(density * _grid_phasor(state.size)) * TWO_PI / \
-            state.size
+        moments = np.array([np.sum(np.conj(amps[1:]) * amps[:-1])])
+    elif isinstance(state, (GridState, np.ndarray)):
+        density, _ = _densities(state, None)
+        n = density.shape[1]
+        moments = _row_sums(density * _grid_phasor(n)) * TWO_PI / n
     else:
         raise InvalidParameterError("expected a SpectralState or GridState")
-    if np.abs(moment) < 1e-6:
+    single = not isinstance(state, np.ndarray)
+    defined = np.abs(moments) >= 1e-6
+    if single and not defined[0]:
         raise CentroidUndefinedError(
             "circular moment %.3g is too small to define a centroid"
-            % np.abs(moment))
+            % np.abs(moments[0]))
+    angles = np.where(defined, np.angle(moments) % TWO_PI, np.nan)
     # a tiny negative angle wraps to 2 pi in floating point; that is 0
-    angle = float(np.angle(moment) % TWO_PI)
-    return 0.0 if angle == TWO_PI else angle
+    angles[angles == TWO_PI] = 0.0
+    return float(angles[0]) if single else angles
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ read out at its own time.  A split-step revival search returns checkpoints
 from release to half the window's lower edge; the walk that follows it
 resumes from the latest one no later than its first imprint, and measures
 each earlier record or snapshot from the nearest earlier checkpoint, where
-its step allows it (see `_walk`).  Scans measure only the readout; they take
+its step allows it (see `_walk`).  A walk reads its records and readouts in
+blocks of up to SCAN_BLOCK rows.  Scans measure only the readout; they take
 no records and no snapshots.
 """
 
@@ -43,8 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CentroidUndefinedError, ConfigError,
-                     IndeterminateImbalanceError, InvalidParameterError,
+from .errors import (ConfigError, InvalidParameterError,
                      RevivalNotFoundError, require_finite)
 from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
                           density_profile, fidelity, population_imbalance)
@@ -305,25 +305,29 @@ def _prepare(spec: ProtocolSpec):
 
 
 def _revival_target(spec: ProtocolSpec, psi0: SpectralState):
-    """t -> the flux-corotated half-turn image of psi0 at t, as a GridState.
+    """times -> the flux-corotated half-turn images of psi0, one row each.
 
-    Bitwise `to_grid(rotate(psi0, pi + flux angle at t), spec.grid_n)`,
-    built from the amplitudes with one exponential, one scatter and one
-    inverse FFT.  Without a flux the image never moves, so it is built
-    once, here, and every readout of a walk or search shares it.
+    Row k is bitwise the values of `to_grid(rotate(psi0, pi + flux angle
+    at times[k]), spec.grid_n)`, built from the amplitudes with one
+    exponential over rows and modes, one scatter and one inverse FFT per
+    block.  Without a flux the image never moves, so it is built once,
+    here, and every block of a walk or search reads it as a read-only
+    broadcast.
     """
     slots = psi0.ells % spec.grid_n
-    buf = np.zeros(spec.grid_n, dtype=np.complex128)
 
-    def image(angle: float) -> GridState:
-        turn = np.exp(-1j * psi0.ells * (np.pi + angle))
-        buf[slots] = psi0.amplitudes * turn
-        return GridState(_ifft(buf) * spec.grid_n / np.sqrt(TWO_PI))
+    def images(angles: np.ndarray) -> np.ndarray:
+        turn = np.exp(-1j * psi0.ells * (np.pi + angles)[:, None])
+        buf = np.zeros((len(angles), spec.grid_n), dtype=np.complex128)
+        buf[:, slots] = psi0.amplitudes * turn
+        return _ifft(buf) * spec.grid_n / np.sqrt(TWO_PI)
 
     if spec.flux is None:
-        fixed = image(0.0)
-        return lambda t: fixed
-    return lambda t: image(spec.flux.accumulated_angle(spec.trap, t))
+        fixed = images(np.zeros(1))[0]
+        fixed.flags.writeable = False
+        return lambda times: np.broadcast_to(fixed, (len(times), len(fixed)))
+    return lambda times: images(np.array(
+        [spec.flux.accumulated_angle(spec.trap, t) for t in times]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +349,16 @@ class RevivalSearch:
     SEARCH_CHECKPOINTS segment ends up to half the window's lower edge,
     each a whole number of the search's steps of `dt_factor`, and `states`
     the read-only single-row values at those times.  A linear search keeps
-    none: `dt_factor` is None and both tuples are empty.
+    none: `dt_factor` is None and both tuples are empty.  `model` is the
+    dispersion the search evolved with, which the walk that follows it
+    reuses.
     """
 
     time_s: float
     dt_factor: float | None = None
     times: tuple = ()
     states: tuple = ()
+    model: DispersionModel | None = None
 
     def before(self, t: float):
         """(time, values) of the latest checkpoint no later than t.
@@ -366,7 +373,7 @@ class RevivalSearch:
         return self.times[i], self.states[i]
 
 
-def _splitstep_objective(spec: ProtocolSpec):
+def _splitstep_objective(spec: ProtocolSpec, model: DispersionModel):
     """Checkpointed split-step fidelity for repeated revival queries.
 
     The advance from release to half the window's lower edge, before the
@@ -380,7 +387,7 @@ def _splitstep_objective(spec: ProtocolSpec):
     """
     psi0_s, psi0_g = _prepare(spec)
     target = _revival_target(spec, psi0_s)
-    driver = _SplitStepDriver(spec, psi0_g)
+    driver = _SplitStepDriver(spec, psi0_g, model)
     t_pre = 0.5 * spec.search_window[0] * revival_time(spec.trap)
     n = step_count(t_pre / driver.time_unit, driver.dt_int)
     times, states = [0.0], [driver.values]
@@ -400,13 +407,14 @@ def _splitstep_objective(spec: ProtocolSpec):
             driver.advance(times[i], t)
             times.insert(i + 1, t)
             states.insert(i + 1, driver.values)
-        return fidelity(target(t), GridState(driver.values[0]))
+        return float(fidelity(target([t]), driver.values)[0])
 
     return objective, checkpoints
 
 
-# The linear search's coarse scan evolves at most this many times at once:
-# one row each, so a block holds SCAN_BLOCK ladders, not the whole window.
+# The linear search's coarse scan evolves, and a walk measures, at most this
+# many rows at once: a block holds SCAN_BLOCK states, not the whole window
+# or run.
 SCAN_BLOCK = 16
 
 
@@ -436,8 +444,9 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     refines it to `spec.search_resolution_factor` times the ideal period.
     If the best coarse fidelity does not exceed SEARCH_FIDELITY_FLOOR a
     RevivalNotFoundError is raised rather than refining noise.  Returns the
-    time (s) with a split-step search's checkpoints, as a `RevivalSearch`;
-    a linear search evolves the packet spectrally and keeps none.
+    time (s) with a split-step search's checkpoints and the search's
+    dispersion, as a `RevivalSearch`; a linear search evolves the packet
+    spectrally and keeps no checkpoints.
     """
     ideal = revival_time(spec.trap)
     lo, hi = (edge * ideal for edge in spec.search_window)
@@ -445,13 +454,13 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     pitch = 0.25 / spec.trap.omega_perp
     count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
     times = np.linspace(lo, hi, count)
+    model = spec.dispersion_model()
     if spec.solver == "splitstep":
-        objective, checkpoints = _splitstep_objective(spec)
+        objective, checkpoints = _splitstep_objective(spec, model)
         coarse = [objective(t) for t in times]
     else:
         # the target corotates with the flux, so a constant flux cancels
         # exactly: evolve without it against the plain half-turn image
-        model = spec.dispersion_model()
         psi0, _ = _prepare(spec)
         target = rotate(psi0, np.pi)
         objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
@@ -466,7 +475,7 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     bracket_lo = times[max(best - 1, 0)]
     bracket_hi = times[min(best + 1, count - 1)]
     return RevivalSearch(_golden_max(objective, bracket_lo, bracket_hi,
-                                     resolution), *checkpoints)
+                                     resolution), *checkpoints, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +495,7 @@ class _SplitStepDriver:
     flux turn-on and at the pulse edges of every run, so each pulse
     potential acts exactly over its window and the flux from its onset.
 
+    The kinetic energies are those of `model`, the run's dispersion.
     Every interval with a coupling or a pulse takes steps of `scheme`, of
     `dt_factor` times the ideal period per FFT pair.  `dt_factor` is the
     spec's, or when that is unset the one derived from the peak local phase
@@ -496,10 +506,10 @@ class _SplitStepDriver:
     scheme = BLANES_MOAN
 
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
-                 phases=(0.0,), starts=(math.inf,)):
+                 model: DispersionModel, phases=(0.0,), starts=(math.inf,)):
         self.time_unit = spec.trap.time_unit
-        self.engine = _SplitStepEngine(spec.dispersion_model(), spec.grid_n,
-                                       spec.interaction, spec.flux)
+        self.engine = _SplitStepEngine(model, spec.grid_n, spec.interaction,
+                                       spec.flux)
         self.turn_on = 0.0 if spec.flux is None else spec.flux.turn_on
         self.duration = spec.imprint.duration
         self.profile = spec.imprint.profile_values(self.engine.angles)
@@ -573,24 +583,20 @@ def _schedule(spec: ProtocolSpec, t_star: float):
     return t_imp, total
 
 
-def _measure(grid: GridState, spec: ProtocolSpec, target, t: float):
-    """(t, fidelity, imbalance, centroid) at protocol time t, NaN-tolerant.
+def _measure(rows: np.ndarray, times, spec: ProtocolSpec, targets):
+    """One (t, fidelity, imbalance, centroid) per row, NaN-tolerant.
 
-    `target` is the walk's `_revival_target`.
+    Row k of `rows` is a state at protocol time times[k]; `targets` is the
+    walk's `_revival_target`.  Each value is bitwise that of the public
+    observable on the row as one GridState, with NaN where that raises.
     """
     center = spec.packet_center
-    try:
-        imbalance = population_imbalance(
-            grid, weight=spec.readout_weight,
-            right_window=(center - 0.5 * np.pi, center + 0.5 * np.pi),
-            left_window=(center + 0.5 * np.pi, center + 1.5 * np.pi))
-    except IndeterminateImbalanceError:
-        imbalance = math.nan
-    try:
-        centroid = circular_centroid(grid)
-    except CentroidUndefinedError:
-        centroid = math.nan
-    return t, fidelity(target(t), grid), imbalance, centroid
+    imbalance = population_imbalance(
+        rows, weight=spec.readout_weight,
+        right_window=(center - 0.5 * np.pi, center + 0.5 * np.pi),
+        left_window=(center + 0.5 * np.pi, center + 1.5 * np.pi))
+    return list(zip(times, fidelity(targets(times), rows).tolist(),
+                    imbalance.tolist(), circular_centroid(rows).tolist()))
 
 
 def _walk(runs):
@@ -609,7 +615,10 @@ def _walk(runs):
     at one instant the imprints act first, then the readouts, records and
     snapshots.  The `n_records` records and `n_snapshots` snapshots of
     `runs[0]` are taken evenly from release to its readout; `_scan` passes
-    runs that ask for none.
+    runs that ask for none.  The walk copies each readout and record row
+    into a block and measures the block when it holds SCAN_BLOCK rows and
+    at the end; a snapshot is measured at once.  The search's dispersion,
+    when it ran, is the walk's.
 
     Returns (revival time, dt_factor, measured): `measured` maps "readout"
     to one (t, fidelity, imbalance, centroid) of `_measure` per run, in the
@@ -619,10 +628,11 @@ def _walk(runs):
     spec = runs[0]
     store = find_revival_time(spec) if spec.revival_time_s is None else None
     t_star = spec.revival_time_s if store is None else store.time_s
+    model = spec.dispersion_model() if store is None else store.model
     schedule = [_schedule(run, t_star) for run in runs]
     psi0_s, psi0_g = _prepare(spec)
-    target = _revival_target(spec, psi0_s)
-    driver = _SplitStepDriver(spec, psi0_g,
+    targets = _revival_target(spec, psi0_s)
+    driver = _SplitStepDriver(spec, psi0_g, model,
                               [run.imprint.phase for run in runs],
                               [t_imp for t_imp, _ in schedule])
     end = schedule[0][1]
@@ -639,6 +649,17 @@ def _walk(runs):
     now, resume = 0.0, None
     if store is not None and store.dt_factor == driver.dt_factor:
         resume = store.before(min(times["imprint"] + times["readout"]))
+    # copies: an instant imprint multiplies one row of the driver in place
+    block = np.empty((SCAN_BLOCK, spec.grid_n), dtype=np.complex128)
+    pending = []    # (kind, index, time) of each filled row of `block`
+
+    def measure_block():
+        rows = _measure(block[:len(pending)], [t for _, _, t in pending],
+                        spec, targets)
+        for (kind, i, _), row in zip(pending, rows):
+            measured[kind][i] = row
+        pending.clear()
+
     for t, kind, i in events:
         if resume is not None and t < resume[0]:
             # a record or snapshot before the resume point
@@ -653,10 +674,16 @@ def _walk(runs):
             now = t
         if kind == "imprint":
             driver.imprint(i)
-            continue
-        grid = GridState(driver.values[i if kind == "readout" else 0])
-        measured[kind][i] = ((t, density_profile(grid)) if kind == "snapshot"
-                             else _measure(grid, spec, target, t))
+        elif kind == "snapshot":
+            measured[kind][i] = (t, density_profile(GridState(
+                driver.values[0])))
+        else:
+            block[len(pending)] = driver.values[i if kind == "readout" else 0]
+            pending.append((kind, i, t))
+            if len(pending) == SCAN_BLOCK:
+                measure_block()
+    if pending:
+        measure_block()
     return t_star, driver.dt_factor, measured
 
 

@@ -256,6 +256,57 @@ def test_each_subcommand_builds_its_interaction_once(tmp_path, command):
     assert done.stderr.count("AttractiveCouplingWarning") == 1, done.stderr
 
 
+THREE_VARIANTS = QUICK.replace("sweep_variants = ideal,noninteracting",
+                               "sweep_variants = ideal,noninteracting,"
+                               "interacting")
+
+
+@pytest.mark.parametrize("text, sweeps", [
+    (THREE_VARIANTS, 2),
+    (ATTRACTIVE_SPLITSTEP.replace("scattering_length_a0 = -0.2",
+                                  "scattering_length_a0 = 0.2"), 3)],
+                         ids=["coupling-free", "interacting"])
+def test_sweep_phase_sweeps_each_distinct_variant_once(tmp_path, monkeypatch,
+                                                       text, sweeps):
+    # without a coupling the interacting and noninteracting variants are
+    # equal specs, which share one sweep and write equal rows; the
+    # split-step sweep of the interacting config is stubbed out
+    specs = []
+
+    def counted(spec, phases):
+        specs.append(spec)
+        if spec.solver == "splitstep":
+            return np.zeros((len(phases), 2))
+        return rs.sweep_phase(spec, phases)
+
+    monkeypatch.setattr(rs.cli, "sweep_phase", counted)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["sweep-phase", "--config", str(path), "--out", str(out)]) == 0
+    assert len(specs) == len(set(specs)) == sweeps
+    rows = {name: _read_csv(out / ("sweep_phase_%s.csv" % name))[2]
+            for name in ("ideal", "noninteracting", "interacting")}
+    assert (rows["interacting"] == rows["noninteracting"]) == (sweeps == 2)
+
+
+@pytest.mark.parametrize("command", ["revival", "timing", "sweep-phase"])
+def test_each_run_builds_its_dispersion_once(tmp_path, command):
+    # the walk steps with the dispersion its revival search built, so even
+    # `-W always` shows the model's zero-tilt warning once per subcommand
+    # (the ideal variant switches the tilt term off)
+    path = tmp_path / "flat.cfg"
+    path.write_text(THREE_VARIANTS + "tilt_v0 = 0\ncorrect_tilt = true\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "ringsim", command,
+         "--config", str(path), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count(
+        "tilt correction enabled with zero amplitude") == 1, done.stderr
+
+
 @pytest.mark.parametrize("command, name", [("spectrum", "spectrum.csv"),
                                            ("revival", "revival.csv")])
 def test_no_atoms_read_a_zero_coupling_not_minus_zero(tmp_path, command,

@@ -121,7 +121,56 @@ def test_density_profile_normalization():
     assert peak == pytest.approx(0.7, abs=2.0 * math.pi / 256)
 
 
+def test_grid_rows_read_each_row_as_its_grid_state():
+    # one value per row, bitwise the single-state call, NaN where it raises:
+    # a packet at 0 (whose centroid wraps to 0), an off-axis packet, and the
+    # empty state, which has no population and no moment
+    states = [rs.to_grid(rs.gaussian_packet(c, 0.2, 64), 256)
+              for c in (0.0, 2.3)] + [rs.GridState(np.zeros(256))]
+    rows = np.array([state.values for state in states])
+    images = rows[::-1].copy()
+    window = {"right_window": (0.3, 1.9), "left_window": (2.0, 4.0),
+              "weight": "uniform"}
+    single = [(rs.fidelity(rs.GridState(image), state),
+               rs.population_imbalance(state, **window),
+               rs.circular_centroid(state))
+              for image, state in zip(images[:2], states[:2])]
+    block = np.column_stack([rs.fidelity(images, rows),
+                             rs.population_imbalance(rows, **window),
+                             rs.circular_centroid(rows)])
+    np.testing.assert_array_equal(block[:2], single)
+    assert block[0, 2] == 0.0
+    assert block[2, 0] == 0.0 and np.isnan(block[2, 1:]).all()
+    with pytest.raises(rs.IndeterminateImbalanceError):
+        rs.population_imbalance(states[2])
+    with pytest.raises(rs.CentroidUndefinedError):
+        rs.circular_centroid(states[2])
+
+
+def test_grid_rows_round_as_one_sum_per_row():
+    # each row's windows and moment summed as a 1-D array, as np.sum of one
+    # state does; a sum along axis 1 of the block rounds differently
+    rows = np.random.default_rng(7).normal(size=(2 * 16, 2 * 512)).view(
+        complex)
+    windows = ((-0.5 * math.pi, 0.5 * math.pi), (0.5 * math.pi, 1.5 * math.pi))
+    imbalance, centroid = [], []
+    for density in np.abs(rows) ** 2:
+        sums = []
+        for window in windows:
+            mask, w = rs.observables._grid_window(512, window,
+                                                  "cosine_squared")
+            sums.append(float(np.sum(density[mask] * w)))
+        n_right, n_left = sums
+        imbalance.append((n_right - n_left) / (n_right + n_left))
+        moment = np.sum(density * rs.observables._grid_phasor(512)) * \
+            (2.0 * math.pi) / 512
+        centroid.append(float(np.angle(moment) % (2.0 * math.pi)))
+    assert rs.population_imbalance(rows).tolist() == imbalance
+    assert rs.circular_centroid(rows).tolist() == centroid
+
+
 _GRID = rs.to_grid(rs.gaussian_packet(0.0, 0.2, 64), 256)
+_ROWS = np.repeat(_GRID.values[None, :], 3, axis=0)
 
 # each bad input with the message it raises: (message, call)
 _GUARDS = {
@@ -139,6 +188,20 @@ _GUARDS = {
                              lambda: rs.circular_centroid("psi")),
     "profile-shapes": ("angles/density shape mismatch",
                        lambda: rs.DensityProfile(np.zeros(4), np.zeros(5))),
+    "rows-one-dimensional": ("grid values must be two-dimensional",
+                             lambda: rs.population_imbalance(_GRID.values)),
+    "rows-width": ("grid size must be a power of two >= 4",
+                   lambda: rs.circular_centroid(_ROWS[:, :12])),
+    "rows-not-finite": ("grid values must be finite",
+                        lambda: rs.fidelity(_ROWS, np.where(
+                            np.arange(3)[:, None] == 1, np.nan, _ROWS))),
+    "rows-grid-n": ("grid_n does not match the state's grid",
+                    lambda: rs.population_imbalance(_ROWS, grid_n=512)),
+    "fidelity-row-shapes": ("grid rows differ in shape in fidelity",
+                            lambda: rs.fidelity(_ROWS, _ROWS[:2])),
+    "fidelity-rows-and-state": (
+        "fidelity requires two states of the same representation",
+        lambda: rs.fidelity(_ROWS, _GRID)),
 }
 
 

@@ -359,43 +359,94 @@ def test_timing_sensitivity_input_guards(trap):
             rs.timing_sensitivity(spec, values)
 
 
+def _wedge_gap(grid_n, shift=0):
+    # density only at alpha = pi/2 and 3 pi/2, turned by `shift` grid
+    # points: where the cosine-squared wedges about a packet center of
+    # shift pitches meet and weigh nothing, and balanced about the ring
+    values = np.zeros(grid_n, dtype=complex)
+    values[[grid_n // 4 + shift, 3 * grid_n // 4 + shift]] = 1.0
+    return values
+
+
 def test_a_readout_with_both_wedges_empty_files_nan(trap):
-    # density only at alpha = pi/2 and 3 pi/2, where the cosine-squared
-    # wedges about the packet center 0 meet and weigh nothing, and balanced
-    # about the ring: imbalance and centroid are undefined and read NaN
+    # imbalance and centroid are undefined and read NaN
     spec = _linear_spec(trap)
-    values = np.zeros(spec.grid_n, dtype=complex)
-    values[[spec.grid_n // 4, 3 * spec.grid_n // 4]] = 1.0
     psi0 = rs.gaussian_packet(0.0, spec.effective_packet_width, spec.cutoff)
-    t, _, imbalance, centroid = _measure(rs.GridState(values), spec,
-                                         _revival_target(spec, psi0), 0.1)
+    [(t, _, imbalance, centroid)] = _measure(
+        _wedge_gap(spec.grid_n)[None, :], [0.1], spec,
+        _revival_target(spec, psi0))
     assert t == 0.1 and math.isnan(imbalance) and math.isnan(centroid)
+
+
+def _public_readout(grid, spec, psi0, t):
+    # one readout row from the public functions, NaN where one raises
+    center = spec.packet_center
+    theta = 0.0 if spec.flux is None else spec.flux.accumulated_angle(
+        spec.trap, t)
+    image = rs.to_grid(rs.rotate(psi0, math.pi + theta), spec.grid_n)
+    row = [t, rs.fidelity(image, grid)]
+    try:
+        row.append(rs.population_imbalance(
+            grid, weight=spec.readout_weight,
+            right_window=(center - 0.5 * math.pi, center + 0.5 * math.pi),
+            left_window=(center + 0.5 * math.pi, center + 1.5 * math.pi)))
+    except rs.IndeterminateImbalanceError:
+        row.append(math.nan)
+    try:
+        row.append(rs.circular_centroid(grid))
+    except rs.CentroidUndefinedError:
+        row.append(math.nan)
+    return row
 
 
 @pytest.mark.parametrize("turn_on", [None, 0.5], ids=["no-flux",
                                                       "flux-on-mid-run"])
 def test_a_readout_is_bitwise_the_public_composition(trap, revival_s,
                                                      turn_on):
-    # the walk's target, built once without a flux and per time with one,
-    # against the public functions a readout is made of
+    # one block through the walk's target, built once without a flux and
+    # per block with one, against the public functions on each row as one
+    # GridState.  The packet center sits on a grid point, so the wedge-gap
+    # state turned to it has both wedges empty; two of its rows are mixed
+    # into the block
     flux = None if turn_on is None else rs.FluxSpec(
         0.8 * rs.HBAR, turn_on * revival_s)
-    spec = _linear_spec(trap, flux=flux, packet_center=0.4)
+    center = math.pi / 4
+    spec = _linear_spec(trap, flux=flux, packet_center=center)
     model = spec.dispersion_model()
-    psi0 = rs.gaussian_packet(0.4, spec.effective_packet_width, spec.cutoff)
-    target = _revival_target(spec, psi0)
-    for t in np.array([0.001, 0.003, 0.998, 1.0, 1.002]) * revival_s:
-        grid = rs.to_grid(rs.evolve_linear(psi0, t, model, flux), spec.grid_n)
-        theta = 0.0 if flux is None else flux.accumulated_angle(trap, t)
-        image = rs.to_grid(rs.rotate(psi0, math.pi + theta), spec.grid_n)
-        imbalance = rs.population_imbalance(
-            grid, weight=spec.readout_weight,
-            right_window=(0.4 - 0.5 * math.pi, 0.4 + 0.5 * math.pi),
-            left_window=(0.4 + 0.5 * math.pi, 0.4 + 1.5 * math.pi))
-        assert _measure(grid, spec, target, t) == (
-            t, rs.fidelity(image, grid), imbalance,
-            rs.circular_centroid(grid))
-    assert (target(0.0) is target(revival_s)) == (flux is None)
+    psi0 = rs.gaussian_packet(center, spec.effective_packet_width,
+                              spec.cutoff)
+    targets = _revival_target(spec, psi0)
+    times = np.array([0.001, 0.003, 0.5, 0.998, 1.0, 1.002, 1.01]
+                     ) * revival_s
+    grids = [rs.to_grid(rs.evolve_linear(psi0, t, model, flux), spec.grid_n)
+             for t in times]
+    grids[2] = grids[5] = rs.GridState(_wedge_gap(spec.grid_n,
+                                                  spec.grid_n // 8))
+    block = _measure(np.array([grid.values for grid in grids]), times, spec,
+                     targets)
+    expected = [_public_readout(grid, spec, psi0, t)
+                for t, grid in zip(times, grids)]
+    np.testing.assert_array_equal(np.array(block), np.array(expected))
+    assert [k for k, row in enumerate(block)
+            if math.isnan(row[2]) and math.isnan(row[3])] == [2, 5]
+    assert np.shares_memory(targets([0.0]), targets([revival_s])) == (
+        flux is None)
+
+
+def test_records_before_an_instant_imprint_ignore_its_phase(trap,
+                                                            revival_s):
+    # the walk copies each record into its pending block, so an imprint of
+    # pi, which multiplies the driver's row in place, leaves the records
+    # before it as in the same run with phase 0
+    runs = [rs.run_protocol(_linear_spec(
+        trap, imprint=rs.ImprintSpec(phase), revival_time_s=revival_s,
+        n_records=9)) for phase in (math.pi, 0.0)]
+    before = runs[0].records[:, 0] < 0.5 * revival_s
+    assert before.sum() == 4
+    np.testing.assert_array_equal(runs[0].records[before],
+                                  runs[1].records[before])
+    assert not np.array_equal(runs[0].records[~before],
+                              runs[1].records[~before])
 
 
 def test_a_non_finite_row_still_fails_its_readout(trap, revival_s,
@@ -739,11 +790,13 @@ def test_derived_step_conserves_the_energy_without_a_pulse():
     assert spec.interaction is not None and spec.imprint.duration == 0
     _, psi0 = rs.protocol._prepare(spec)
     half = 0.5 * rs.revival_time(spec.trap)
-    derived = rs.protocol._SplitStepDriver(spec, psi0).dt_factor
+    model = spec.dispersion_model()
+    derived = rs.protocol._SplitStepDriver(spec, psi0, model).dt_factor
     drifts = []
     for scale in (1.0, 0.5):
         driver = rs.protocol._SplitStepDriver(
-            dataclasses.replace(spec, dt_factor=scale * derived), psi0)
+            dataclasses.replace(spec, dt_factor=scale * derived), psi0,
+            model)
         energy = driver.engine.energy(driver.values[0])
         drift = 0.0
         for k in range(50):

@@ -17,10 +17,12 @@ the best of `--repeats`:
                    with), in s
     search-point   one coarse point of the linear revival search's scan,
                    on an interaction-free linear copy of the scenario, in us
-    readout        one record readout (`_measure`: fidelity, imbalance and
-                   centroid) of the prepared packet, in us
+    readout        one record of a walk's readout (`_measure`: fidelity,
+                   imbalance and centroid), timed over blocks of SCAN_BLOCK
+                   records of the prepared packet, in us per record
     readout-flux   the same readout on a copy of the scenario with a 0.3 rad
                    gauge flux, whose half-turn target moves with t, in us
+                   per record
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from ringsim.config import build_protocol, from_defaults  # noqa: E402
 from ringsim.constants import HBAR  # noqa: E402
 from ringsim.propagator import FluxSpec  # noqa: E402
-from ringsim.protocol import (_linear_scan, _measure,  # noqa: E402
-                              _prepare, _prepared_packet, _revival_target,
-                              _SplitStepDriver)
+from ringsim.protocol import (SCAN_BLOCK, _linear_scan,  # noqa: E402
+                              _measure, _prepare, _prepared_packet,
+                              _revival_target, _SplitStepDriver)
 from ringsim.spectrum import revival_time  # noqa: E402
 from ringsim.states import rotate  # noqa: E402
 
 ROWS = (1, 7, 13)
-READOUTS = 200
+BLOCKS = 12
 FLUX_RAD = 0.3
 
 
@@ -62,7 +64,8 @@ def _best_of(repeats: int, run) -> float:
 
 def pair_costs(spec, steps: int, repeats: int) -> dict:
     """Best-of-`repeats` seconds per FFT pair of `propagate`, per batch."""
-    driver = _SplitStepDriver(spec, _prepare(spec)[1])
+    driver = _SplitStepDriver(spec, _prepare(spec)[1],
+                              spec.dispersion_model())
     engine, dt, scheme = driver.engine, driver.dt_int, driver.scheme
     pairs = steps * len(scheme[1])
     costs = {}
@@ -96,15 +99,19 @@ def search_point_cost(spec, repeats: int) -> float:
 
 
 def readout_cost(spec, repeats: int) -> float:
-    """Best-of-`repeats` seconds per record readout of the prepared packet,
-    against the walk's target, over READOUTS readouts."""
+    """Best-of-`repeats` seconds per record of a walk's readout: BLOCKS
+    blocks of SCAN_BLOCK records of the prepared packet, at distinct times,
+    against the walk's target."""
     psi0_s, psi0_g = _prepare(spec)
-    target = _revival_target(spec, psi0_s)
+    targets = _revival_target(spec, psi0_s)
+    rows = np.repeat(psi0_g.values[None, :], SCAN_BLOCK, axis=0)
+    times = [1e-3 * (np.arange(SCAN_BLOCK) + k * SCAN_BLOCK)
+             for k in range(BLOCKS)]
 
     def readouts():
-        for k in range(READOUTS):
-            _measure(psi0_g, spec, target, 1e-3 * k)
-    return _best_of(repeats, readouts) / READOUTS
+        for block_times in times:
+            _measure(rows, block_times, spec, targets)
+    return _best_of(repeats, readouts) / (BLOCKS * SCAN_BLOCK)
 
 
 def main(argv=None) -> int:

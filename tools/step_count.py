@@ -109,9 +109,9 @@ class StepCounter:
         return wrapped
 
     def _objective(self, original):
-        def splitstep_objective(spec):
+        def splitstep_objective(*args):
             objective, checkpoints = self._in_phase("search prefix",
-                                                    original)(spec)
+                                                    original)(*args)
             return self._in_phase("search window", objective), checkpoints
         return splitstep_objective
 
