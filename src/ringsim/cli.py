@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (ScenarioConfig, _format_value, _interaction,
+from .config import (ScenarioConfig, _format_value, _interaction, _sha256,
                      build_protocol, build_trap, from_defaults, from_file)
 from .constants import (BOHR_MAGNETON, BOHR_RADIUS, DEBYE,
                         ELEMENTARY_CHARGE, HBAR)
@@ -55,9 +55,10 @@ def _header_lines(config: ScenarioConfig, trap, interaction, command: str,
     g_int = 0.0
     if interaction.atom_number > 0:
         g_int = interaction.coupling_internal(trap)
+    text = config.canonical_text()
     lines = ["# ringsim %s" % command,
-             "# config_sha256 = %s" % config.sha256()]
-    for line in config.canonical_text().splitlines():
+             "# config_sha256 = %s" % _sha256(text)]
+    for line in text.splitlines():
         lines.append("# config %s" % line)
     derived = [("internal omega_perp", trap.omega_internal),
                ("internal sigma_u_over_radius", trap.sigma_u / trap.radius),
@@ -70,10 +71,17 @@ def _header_lines(config: ScenarioConfig, trap, interaction, command: str,
 
 
 def _write_csv(path, header_lines, columns, rows) -> None:
+    """Header, column names and rows: a 2-D float array formats each row
+    with one "%.17g" per cell, which is `_format_value` of every float;
+    other rows (mixed types) go through `_format_value` cell by cell."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in header_lines:
             handle.write(line + "\n")
         handle.write(",".join(columns) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype == float:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            handle.write("".join(line % tuple(row) for row in rows.tolist()))
+            return
         for row in rows:
             handle.write(",".join(_format_value(v) for v in row) + "\n")
 
@@ -103,10 +111,9 @@ def _cmd_revival(config: ScenarioConfig, args, out_dir: str) -> int:
                result.records)
     written = [series]
     if args.snapshots > 0:
-        rows = []
-        for t, profile in zip(result.snapshot_times, result.snapshots):
-            for alpha, dens in zip(profile.angles, profile.density):
-                rows.append((t, alpha, dens))
+        rows = np.vstack([
+            np.column_stack((np.full(len(p.angles), t), p.angles, p.density))
+            for t, p in zip(result.snapshot_times, result.snapshots)])
         snap = os.path.join(out_dir, "revival_snapshots.csv")
         _write_csv(snap, header,
                    ["t_s", "alpha_rad", "density_per_rad"], rows)
@@ -173,8 +180,7 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
         [ells] + si + [e / trap.energy_unit for e in si])
     header = _header_lines(config, trap, _interaction(config), "spectrum")
     path = os.path.join(out_dir, "spectrum.csv")
-    _write_csv(path, header, columns,
-               [[int(r[0])] + list(r[1:]) for r in rows])
+    _write_csv(path, header, columns, rows)
     print("wrote %s (%d modes)" % (path, len(ells)))
     return 0
 

@@ -142,7 +142,11 @@ class ScenarioConfig:
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        return _sha256(self.canonical_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _format_value(value) -> str:

@@ -173,8 +173,9 @@ def _evolved(state: SpectralState, durations, model: DispersionModel,
 
     One row per duration for an array of durations, one ladder for a
     scalar; the flux angle `theta` is for a scalar duration only.  The one
-    arithmetic of `evolve_linear` and of the linear revival search's
-    blocked scan, so a row is bitwise that duration's `evolve_linear`.
+    arithmetic of `evolve_linear` and of the block rows of the linear
+    revival search's scan, so a row is bitwise that duration's
+    `evolve_linear`.
     """
     t_int = np.divide(durations, model.trap.time_unit)
     phases = np.multiply.outer(t_int, model.energies)
@@ -211,9 +212,10 @@ class _SplitStepEngine:
     splitting scheme (STRANG by default), where the kinetic phase also
     carries the gauge-flux term linear in ell, and `relax` in imaginary
     time, in Strang steps, which builds its real kinetic factor once per
-    call.  `kinetic_phase` keeps the last real-time factor in one slot: it
-    hits on consecutive Strang intervals of equal step, most often the exact
-    kinetic steps between equally spaced records.
+    call.  `kinetic_phase` keeps the last two real-time factors used: the
+    exact kinetic steps between records take a few distinct durations,
+    since equally spaced times round to unequal gaps, and most gaps repeat
+    one of the last two.
 
     Values may be one state of shape (grid_n,) or a batch of shape
     (rows, grid_n), one state per row; the FFTs run along the last axis and
@@ -236,13 +238,19 @@ class _SplitStepEngine:
         # kinetic frequencies with the flux on
         rate = flux.angle_per_revival() / TWO_PI if flux is not None else 0.0
         self.flux_energies = self.energies + rate * self.harmonics
-        self._kin = (None, None)    # one slot: (dt, flux_on), factor
+        # (dt, flux_on) -> factor, the last two used, least recent first
+        self._kin = {}
 
     def kinetic_phase(self, dt: float, flux_on: bool = True) -> np.ndarray:
-        if self._kin[0] != (dt, flux_on):
+        key = (dt, flux_on)
+        factor = self._kin.pop(key, None)
+        if factor is None:
             w = self.flux_energies if flux_on else self.energies
-            self._kin = ((dt, flux_on), np.exp(-1j * w * dt))
-        return self._kin[1]
+            factor = np.exp(-1j * w * dt)
+            if len(self._kin) == 2:
+                del self._kin[next(iter(self._kin))]
+        self._kin[key] = factor
+        return factor
 
     def _local_into(self, values: np.ndarray, potential,
                     out: np.ndarray) -> None:

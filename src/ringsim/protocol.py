@@ -309,15 +309,21 @@ def _revival_target(spec: ProtocolSpec, psi0: SpectralState):
 
     Row k is bitwise the values of `to_grid(rotate(psi0, pi + flux angle
     at times[k]), spec.grid_n)`, built from the amplitudes with one
-    exponential over rows and modes, one scatter and one inverse FFT per
-    block.  Without a flux the image never moves, so it is built once,
-    here, and every block of a walk or search reads it as a read-only
-    broadcast.
+    exponential over rows and modes ell >= 0, one scatter and one inverse
+    FFT per block.  The modes ell < 0 take the conjugates: (-ell) x is
+    exactly -(ell x), and numpy's complex exp of a purely imaginary
+    argument is bitwise conjugate-symmetric.  Without a flux the image
+    never moves, so it is built once, here, and every block of a walk or
+    search reads it as a read-only broadcast.
     """
     slots = psi0.ells % spec.grid_n
+    cut = psi0.cutoff
 
     def images(angles: np.ndarray) -> np.ndarray:
-        turn = np.exp(-1j * psi0.ells * (np.pi + angles)[:, None])
+        turn = np.empty((len(angles), len(slots)), dtype=np.complex128)
+        turn[:, cut:] = np.exp(-1j * psi0.ells[cut:] *
+                               (np.pi + angles)[:, None])
+        turn[:, :cut] = np.conj(turn[:, :cut:-1])
         buf = np.zeros((len(angles), spec.grid_n), dtype=np.complex128)
         buf[:, slots] = psi0.amplitudes * turn
         return _ifft(buf) * spec.grid_n / np.sqrt(TWO_PI)
@@ -412,25 +418,63 @@ def _splitstep_objective(spec: ProtocolSpec, model: DispersionModel):
     return objective, checkpoints
 
 
-# The linear search's coarse scan evolves, and a walk measures, at most this
+# The linear search's coarse scan sums, and a walk measures, at most this
 # many rows at once: a block holds SCAN_BLOCK states, not the whole window
 # or run.
 SCAN_BLOCK = 16
 
 
-def _linear_scan(psi0: SpectralState, target: SpectralState, times,
-                 model: DispersionModel) -> list:
-    """fidelity(target, evolve_linear(psi0, t, model)) at each of `times`.
+def _scan_estimates(psi0: SpectralState, target: SpectralState, times,
+                    model: DispersionModel):
+    """Estimates of fidelity(target, evolve_linear(psi0, t, model)) at each
+    of `times`, and a bound on how far any estimate lies from that value.
 
-    Bitwise those values, from one exponential per block of SCAN_BLOCK
-    times and one overlap per row, without a validated state per time.
+    Each block of SCAN_BLOCK times evolves one exact row, at its first time
+    s, and reaches s + j d, with d the mean spacing of `times`, through one
+    offset table exp(-i E j d) built once: one overlap per time is a row of
+    a matrix product, with no exponential per time.  The estimates are
+    not bitwise the objective's values.  Per mode, the two phases differ by
+    at most max|E| D + eps (2 X + Y), from rounding the phases and from
+    s + j d missing t, with X the largest |t E| of the scan, Y the block's
+    largest |j d E| and D the largest gap between s + j d and its t.  The
+    exponentials, products and sums over n modes add eps (n + 16).  An
+    overlap then moves by at most S times the sum, S = sum |target| |psi0|
+    >= |overlap|, and a fidelity by at most S^2 delta (2 + delta), with
+    delta = max|E| D + eps (3 X + Y + n + 16): the third X covers the
+    rounding of D itself and of the overlaps.
     """
-    out = []
-    for start in range(0, len(times), SCAN_BLOCK):
-        rows = _evolved(psi0, times[start:start + SCAN_BLOCK], model)
-        out += [float(abs(np.vdot(target.amplitudes, row)) ** 2)
-                for row in rows]
-    return out
+    eps = np.finfo(float).eps
+    t_int = np.divide(times, model.trap.time_unit)
+    step = (t_int[-1] - t_int[0]) / max(len(t_int) - 1, 1)
+    offsets = step * np.arange(SCAN_BLOCK)
+    weights = np.conj(target.amplitudes)
+    rows = _evolved(psi0, times[::SCAN_BLOCK], model) * weights
+    table = np.exp(-1j * np.multiply.outer(offsets, model.energies))
+    estimates = np.abs((rows @ table.T).ravel()[:len(times)]) ** 2
+    grid = (t_int[::SCAN_BLOCK, None] + offsets).ravel()[:len(times)]
+    e_max = np.abs(model.energies).max()
+    delta = e_max * (np.abs(t_int - grid).max()
+                     + eps * (3 * np.abs(t_int).max() + abs(offsets[-1]))) \
+        + eps * (len(weights) + 16)
+    scale = float(np.abs(weights) @ np.abs(psi0.amplitudes)) ** 2
+    return estimates, scale * delta * (2 + delta)
+
+
+def _linear_scan(psi0: SpectralState, target: SpectralState, times,
+                 model: DispersionModel, objective) -> tuple:
+    """(index, value) of the first maximum of `objective` over `times`.
+
+    `objective` is fidelity(target, evolve_linear(psi0, t, model)).  Every
+    time whose estimate (`_scan_estimates`) lies within twice the bound of
+    the best estimate is evaluated through `objective`; the bound holds for
+    every estimate, so the maximum is among them.  The result is bitwise the
+    argmax and max of `objective` at every time, ties to the first.
+    """
+    estimates, margin = _scan_estimates(psi0, target, times, model)
+    near = np.flatnonzero(estimates >= estimates.max() - 2 * margin)
+    exact = [objective(times[i]) for i in near]
+    best = int(np.argmax(exact))
+    return int(near[best]), exact[best]
 
 
 def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
@@ -446,7 +490,8 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     RevivalNotFoundError is raised rather than refining noise.  Returns the
     time (s) with a split-step search's checkpoints and the search's
     dispersion, as a `RevivalSearch`; a linear search evolves the packet
-    spectrally and keeps no checkpoints.
+    spectrally, scans with estimates and re-checks its best coarse points
+    through the exact objective (`_linear_scan`), and keeps no checkpoints.
     """
     ideal = revival_time(spec.trap)
     lo, hi = (edge * ideal for edge in spec.search_window)
@@ -458,20 +503,21 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     if spec.solver == "splitstep":
         objective, checkpoints = _splitstep_objective(spec, model)
         coarse = [objective(t) for t in times]
+        best = int(np.argmax(coarse))
+        peak = coarse[best]
     else:
         # the target corotates with the flux, so a constant flux cancels
         # exactly: evolve without it against the plain half-turn image
         psi0, _ = _prepare(spec)
         target = rotate(psi0, np.pi)
         objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
-        coarse = _linear_scan(psi0, target, times, model)
+        best, peak = _linear_scan(psi0, target, times, model, objective)
         checkpoints = ()
-    best = int(np.argmax(coarse))
-    if coarse[best] <= SEARCH_FIDELITY_FLOOR:
+    if peak <= SEARCH_FIDELITY_FLOOR:
         raise RevivalNotFoundError(
             "no revival above fidelity %.2f inside [%.6g, %.6g] s "
             "(best %.3g); widen the search window"
-            % (SEARCH_FIDELITY_FLOOR, lo, hi, coarse[best]))
+            % (SEARCH_FIDELITY_FLOOR, lo, hi, peak))
     bracket_lo = times[max(best - 1, 0)]
     bracket_hi = times[min(best + 1, count - 1)]
     return RevivalSearch(_golden_max(objective, bracket_lo, bracket_hi,

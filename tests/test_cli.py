@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import ringsim as rs
-from ringsim.cli import _variant_spec, main
+from ringsim.cli import _variant_spec, _write_csv, main
+from ringsim.config import _format_value
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -115,6 +116,18 @@ def test_outputs_are_byte_identical_across_runs(quick_cfg, tmp_path):
                      "--out", str(out)]) == 0
     for name in ("revival.csv", "sense.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_float_rows_are_written_as_formatted_cell_by_cell(tmp_path):
+    cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 3.0, -128.0, 5e-324,
+             1e300, 0.1, -2.5e-17, 1.0 / 3.0]
+    rows = np.array(cells * 2).reshape(-1, 4)
+    path = tmp_path / "rows.csv"
+    _write_csv(path, ["# head"], ["a", "b", "c", "d"], rows)
+    expected = "# head\na,b,c,d\n" + "".join(
+        ",".join(_format_value(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+    assert ",-0\n" in expected and ",3," in expected
 
 
 def test_sweep_phase_variants(quick_cfg, tmp_path):

@@ -130,6 +130,26 @@ def test_exact_kinetic_step_equals_evolve_linear(free_engine, revival_s, n):
     assert np.max(np.abs(looped - reference)) < 1e-12
 
 
+def test_the_kinetic_cache_keeps_the_last_two_factors(trap):
+    # records at equally spaced times take gaps of a few rounded durations
+    engine = _SplitStepEngine(rs.DispersionModel(trap, 100), 256,
+                              flux=rs.FluxSpec(action=0.37 * rs.HBAR))
+    short, long = 0.01, 0.01 * (1 + 2 ** -52)
+    first = engine.kinetic_phase(short)
+    second = engine.kinetic_phase(long)
+    for _ in range(3):
+        assert engine.kinetic_phase(short) is first
+        assert engine.kinetic_phase(long) is second
+    # a third key evicts the least recently used, and an evicted factor
+    # is rebuilt bitwise
+    unflux = engine.kinetic_phase(short, flux_on=False)
+    assert engine.kinetic_phase(long) is second
+    rebuilt = engine.kinetic_phase(short)
+    assert rebuilt is not first
+    assert np.array_equal(rebuilt, first)
+    assert engine.kinetic_phase(short, flux_on=False) is not unflux
+
+
 def _coupled(trap, grid_n):
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)

@@ -10,7 +10,7 @@ import ringsim as rs
 from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
                                 step_count)
 from ringsim.protocol import (SCAN_BLOCK, _golden_max, _linear_scan,
-                              _measure, _revival_target)
+                              _measure, _revival_target, _scan_estimates)
 
 
 def _phase_per_pair(scheme):
@@ -483,13 +483,41 @@ def _per_point_objective(spec):
             (psi0, target, model))
 
 
-def test_the_blocked_linear_scan_is_bitwise_the_per_point_objective(
-        trap, revival_s):
-    objective, (psi0, target, model) = _per_point_objective(_scan_spec(trap))
+def _scan_cases(trap, revival_s):
+    # the tilted flux spec on a count that is not a multiple of SCAN_BLOCK,
+    # and the ideal spec on an even count around its period, whose two
+    # middle points tie but for rounding; on this grid the larger estimate
+    # is not the larger fidelity
+    tilted = _per_point_objective(_scan_spec(trap))
+    ideal = _per_point_objective(_linear_spec(trap))
     times = np.linspace(0.98 * revival_s, 1.02 * revival_s,
                         2 * SCAN_BLOCK + 5)
-    assert _linear_scan(psi0, target, times, model) == [objective(t)
-                                                        for t in times]
+    even = np.linspace(0.98 * revival_s, 1.02 * revival_s,
+                       2 * SCAN_BLOCK + 2)
+    return [(*tilted, times), (*ideal, even)]
+
+
+def test_the_blocked_linear_scan_is_bitwise_the_per_point_objective(
+        trap, revival_s):
+    cases = _scan_cases(trap, revival_s)
+    (_, _, odd), (ideal, _, even) = cases
+    assert len(odd) % SCAN_BLOCK != 0
+    middle = [ideal(t) for t in even[SCAN_BLOCK:SCAN_BLOCK + 2]]
+    assert abs(middle[0] - middle[1]) < 1e-12
+    for objective, (psi0, target, model), times in cases:
+        values = [objective(t) for t in times]
+        best = int(np.argmax(values))
+        assert _linear_scan(psi0, target, times, model, objective) == (
+            best, values[best])
+
+
+def test_the_scan_estimates_lie_well_inside_their_bound(trap, revival_s):
+    for objective, (psi0, target, model), times in _scan_cases(
+            trap, revival_s):
+        estimates, margin = _scan_estimates(psi0, target, times, model)
+        values = np.array([objective(t) for t in times])
+        assert 0 < margin < 1e-8
+        assert np.abs(estimates - values).max() <= 0.1 * margin
 
 
 def test_the_linear_search_finds_the_time_of_a_per_point_scan(trap):

@@ -15,7 +15,8 @@ the best of `--repeats`:
     prepare        one uncached preparation of the reference packet (the
                    imaginary-time relaxation every split-step run starts
                    with), in s
-    search-point   one coarse point of the linear revival search's scan,
+    search-point   one coarse point of the linear revival search's scan
+                   (estimates, then the exact objective at the best ones),
                    on an interaction-free linear copy of the scenario, in us
     readout        one record of a walk's readout (`_measure`: fidelity,
                    imbalance and centroid), timed over blocks of SCAN_BLOCK
@@ -41,7 +42,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from ringsim.config import build_protocol, from_defaults  # noqa: E402
 from ringsim.constants import HBAR  # noqa: E402
-from ringsim.propagator import FluxSpec  # noqa: E402
+from ringsim.observables import fidelity  # noqa: E402
+from ringsim.propagator import FluxSpec, evolve_linear  # noqa: E402
 from ringsim.protocol import (SCAN_BLOCK, _linear_scan,  # noqa: E402
                               _measure, _prepare, _prepared_packet,
                               _revival_target, _SplitStepDriver)
@@ -85,7 +87,8 @@ def prepare_cost(spec, repeats: int) -> float:
 
 def search_point_cost(spec, repeats: int) -> float:
     """Best-of-`repeats` seconds per point of the linear search's coarse
-    scan, on the search's own grid of a linear copy of `spec`."""
+    scan, its exact re-check of the best points included, on the search's
+    own grid of a linear copy of `spec`."""
     spec = replace(spec, solver="linear", interaction=None)
     model = spec.dispersion_model()
     psi0, _ = _prepare(spec)
@@ -94,8 +97,9 @@ def search_point_cost(spec, repeats: int) -> float:
     lo, hi = (edge * ideal for edge in spec.search_window)
     count = math.ceil((hi - lo) / (0.25 / spec.trap.omega_perp)) + 1
     times = np.linspace(lo, hi, count)
+    objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
     return _best_of(repeats, lambda: _linear_scan(
-        psi0, target, times, model)) / count
+        psi0, target, times, model, objective)) / count
 
 
 def readout_cost(spec, repeats: int) -> float:
