@@ -7,7 +7,7 @@ adds a once-around potential that repels neighbouring modes, and an elliptic
 cross-section couples modes two apart.  This script tabulates each closed-
 form correction, shows the centrifugal retiming of the revival, and prints
 the factor of 2*pi between the published ellipticity shift and the
-first-order oracle over the full deformation operator.
+first-order shift of a particle confined to the ellipse's curve.
 
 Run:  python3 demos/03_torus_spectrum.py
 """
@@ -75,12 +75,15 @@ def main():
 
     print()
     ells = np.array([0, 1, 2, 3, 5, 8, 13])
-    ratio = (rs.ellipticity_shift_oracle(trap, ells)
-             / rs.ellipticity_shift(trap, ells))
+    # thin-ring curve of an ellipse whose semi-major axis is R: its
+    # first-order shift is eps^2 (ell^2 - 1/4) / 4 in internal units
+    curve = trap.eccentricity ** 2 * (ells ** 2 - 0.25) / 4.0
     u = rs.centrifugal_displacement(trap, ells) / trap.radius
-    bare = ratio * (1.0 + 3.0 * u) / (1.0 - 3.0 * u)
-    print("ellipticity: the deformation-operator oracle disagrees with the")
-    print("published form: oracle = closed * C * (1 - 3u)/(1 + 3u) with")
+    bare = curve / (rs.ellipticity_shift(trap, ells) / trap.energy_unit
+                    / (1.0 + 3.0 * u))
+    print("ellipticity: the published form disagrees with the thin-ring")
+    print("curve's first-order shift eps^2 (ell^2 - 1/4) / 4 (R the")
+    print("semi-major axis): curve = closed * C / (1 + 3u) with")
     print("  C = %.9g (2*pi = %.9g), spread %.2e across modes %s"
           % (np.mean(bare), 2.0 * np.pi, np.ptp(bare), ells.tolist()))
 

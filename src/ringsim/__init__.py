@@ -24,9 +24,8 @@ from .errors import (AttractiveCouplingWarning, CentroidUndefinedError,
 from .states import (GridState, SpectralState, gaussian_packet, rotate,
                      to_grid, to_spectral)
 from .spectrum import (DispersionModel, TrapSpec, centrifugal_displacement,
-                       centrifugal_shift, ellipticity_shift,
-                       ellipticity_shift_oracle, revival_time, tilt_shift,
-                       tilt_shift_oracle)
+                       centrifugal_shift, ellipticity_shift, revival_time,
+                       tilt_shift)
 from .propagator import (FluxSpec, InteractionSpec, evolve_linear,
                          ground_state_imaginary_time,
                          half_revival_superposition, step_nonlinear)
@@ -57,8 +56,7 @@ __all__ = [
     "GridState", "SpectralState", "gaussian_packet", "rotate", "to_grid",
     "to_spectral",
     "DispersionModel", "TrapSpec", "centrifugal_displacement",
-    "centrifugal_shift", "ellipticity_shift", "ellipticity_shift_oracle",
-    "revival_time", "tilt_shift", "tilt_shift_oracle",
+    "centrifugal_shift", "ellipticity_shift", "revival_time", "tilt_shift",
     "FluxSpec", "InteractionSpec", "evolve_linear",
     "ground_state_imaginary_time", "half_revival_superposition",
     "step_nonlinear",

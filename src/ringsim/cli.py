@@ -31,8 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (ScenarioConfig, _format_value, _interaction, _sha256,
-                     build_protocol, build_trap, from_defaults, from_file)
+from .config import (ScenarioConfig, _format_value, _interaction,
+                     _keyed_error, _sha256, build_protocol, build_trap,
+                     from_defaults, from_file)
 from .constants import (BOHR_MAGNETON, BOHR_RADIUS, DEBYE,
                         ELEMENTARY_CHARGE, HBAR)
 from .errors import (ConfigError, InvalidParameterError, NotApplicableError,
@@ -185,6 +186,12 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     return 0
 
 
+# the config key behind each sensing function parameter that may be refused
+_SENSE_KEYS = {"resolution": "sense_resolution_rad", "density": "atom_number",
+               "tilt_angle": "sense_tilt_angle_rad",
+               "phase_resolution": "sense_phase_resolution_rad"}
+
+
 def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     trap = build_trap(config)
     interaction = _interaction(config)
@@ -203,16 +210,18 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     resolution = config.sense_resolution_rad
     if resolution is None:
         resolution = trap.sigma_u / trap.radius
-    n_peak = peak_density(trap, interaction.atom_number)
-    n_mean = mean_density(trap, interaction.atom_number)
-    phi_g = gravitational_phase(config.sense_tilt_angle_rad, trap)
-    phi_a = scattering_phase(interaction.scattering_length, n_peak, trap)
     try:
+        n_peak = peak_density(trap, interaction.atom_number)
+        n_mean = mean_density(trap, interaction.atom_number)
+        phi_g = gravitational_phase(config.sense_tilt_angle_rad, trap)
+        phi_a = scattering_phase(interaction.scattering_length, n_peak, trap)
         b_min = min_detectable_field(resolution, charge, trap)
+        da_min = min_detectable_scattering_length(
+            config.sense_phase_resolution_rad, n_peak, trap)
     except NotApplicableError as exc:
         raise ConfigError("sense_charge_e = 0: %s" % exc) from None
-    da_min = min_detectable_scattering_length(
-        config.sense_phase_resolution_rad, n_peak, trap)
+    except InvalidParameterError as exc:
+        raise _keyed_error(exc, _SENSE_KEYS) from exc
 
     rows = []
     print("inputs: B = %g T, E0 = %g V/m, q = %g C, m0 = %g J/T, "

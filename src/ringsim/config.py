@@ -296,9 +296,13 @@ def build_trap(config: ScenarioConfig) -> TrapSpec:
         omega = "omega_perp_khz" if config.omega_perp_krad_s is None \
             else "omega_perp_krad_s"
         keys = {"omega_perp": omega, "tilt_amplitude": "tilt_v0"}
-        field = str(exc).split()[0]
-        raise ConfigError("key %s: %s"
-                          % (keys.get(field, field), exc)) from exc
+        raise _keyed_error(exc, keys) from exc
+
+
+def _keyed_error(exc: InvalidParameterError, keys: dict) -> ConfigError:
+    """ConfigError naming exc's parameter (its first word) by its key."""
+    field = str(exc).split()[0]
+    return ConfigError("key %s: %s" % (keys.get(field, field), exc))
 
 
 def _interaction(config: ScenarioConfig) -> InteractionSpec:

@@ -13,10 +13,10 @@ diagonal corrections:
 * an elliptic deformation of the ring contributes a quadratic-in-ell shift
   proportional to eccentricity squared.
 
-Closed forms are implemented exactly as published.  The tilt term is checked
-by dense diagonalization, the ellipse term against a hand-written deformation
-operator and the test suite's thin-ring curve Hamiltonian (both 2*pi above
-it), and the centrifugal quartic only against its own square-completed form.
+Closed forms are implemented exactly as published.  The tests check the tilt
+term by dense diagonalization of the tilted ladder, the ellipse term against
+the thin-ring curve of an ellipse (2*pi above it), both in `tests/oracles.py`,
+and the centrifugal quartic only against its own square-completed form.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def ellipticity_shift(trap: TrapSpec, ells) -> np.ndarray:
 
     Delta E(ell) = (hbar^2 eps^2 / 8 pi m R^2) (1 + 3 u_ell / R)
                    (ell^2 - 1/4), published closed form implemented as-is.
-    Radial factors aside, `ellipticity_shift_oracle` and the thin-ring
-    curve Hamiltonian (R the semi-major axis) both give 2*pi times this.
+    With (1 + 3 u_ell / R) divided out, the thin-ring curve Hamiltonian of
+    an ellipse whose semi-major axis is R gives 2*pi times this.
     """
     e_int = _ellipticity_internal(ells, trap.omega_internal, trap.eccentricity)
     return e_int * trap.energy_unit
@@ -262,106 +262,3 @@ class DispersionModel:
                                           self.trap.eccentricity)
         return e
 
-
-# ---------------------------------------------------------------------------
-# numerical oracles
-
-def tilt_shift_oracle(trap: TrapSpec, ell: int, cutoff: int = 48) -> float:
-    """Tilt shift (J) from dense diagonalization, no perturbation theory.
-
-    Builds the (2*cutoff+1)^2 matrix of L^2/2 + V0 cos(alpha - alpha0) on the
-    ladder (the cosine couples ell <-> ell +- 1) and returns the mean shift of
-    the |ell| doublet.  The mean is the right comparison object: the doublet
-    splits at second order through the ell = 0 intermediate state for
-    |ell| = 1, while its mean matches the closed form up to O(V0^4).
-    """
-    if cutoff < abs(ell) + 8:
-        raise InvalidParameterError("oracle cutoff too close to |ell|")
-    v0 = trap.tilt_internal
-    n = 2 * cutoff + 1
-    ells = np.arange(-cutoff, cutoff + 1)
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[np.arange(n), np.arange(n)] = 0.5 * ells.astype(float) ** 2
-    coupling = 0.5 * v0 * np.exp(-1j * trap.tilt_phase)
-    h[np.arange(1, n), np.arange(n - 1)] = coupling          # <ell+1|V|ell>
-    h[np.arange(n - 1), np.arange(1, n)] = np.conj(coupling)
-    evals = np.linalg.eigvalsh(h)
-    if ell == 0:
-        shift = evals[0] - 0.0
-    else:
-        k = abs(int(ell))
-        pair = evals[2 * k - 1:2 * k + 1]
-        shift = 0.5 * np.sum(pair) - 0.5 * k ** 2
-    return float(shift * trap.energy_unit)
-
-
-def _ellipticity_matrix(ells: np.ndarray, omega_internal: float,
-                        eccentricity: float) -> np.ndarray:
-    """Dense ladder matrix of the elliptic deformation operator.
-
-    Works in internal units with the radial coordinate replaced by its
-    per-level expectation value <u> = -u_ell (symmetrized over bra and ket to
-    keep the matrix Hermitian at the retained order; the residual
-    non-Hermiticity of the truncated operator enters only at O(u^2) and is
-    dropped with it).  Couplings change ell by 0 or +-2.
-    """
-    nn = len(ells)
-    lf = ells.astype(float)
-    u = -_displacement_internal(lf, omega_internal)   # <u>/R per level
-    e2 = eccentricity ** 2
-    m = np.zeros((nn, nn), dtype=np.complex128)
-    # diagonal: -(1/4)(1+3u) d^2 - (1/16)(1+3u)
-    m[np.arange(nn), np.arange(nn)] = e2 * (1.0 + 3.0 * u) * (
-        0.25 * lf ** 2 - 1.0 / 16.0)
-    for i, ell in enumerate(ells):
-        j = i + 2
-        if j >= nn:
-            continue
-        usym = 0.5 * (u[i] + u[j])
-        # -(1/4)(1+5u) cos(2b) d^2  -> +(1/8)(1+5u) ell^2 on each sideband
-        t_kin = 0.125 * (1.0 + 5.0 * usym) * lf[i] ** 2
-        t_kin_t = 0.125 * (1.0 + 5.0 * usym) * lf[j] ** 2
-        # +(1/2)(1+5u+9u^2) sin(2b) d -> +-(ell/4)(...) on the sidebands
-        t_drv = 0.25 * (1.0 + 5.0 * usym + 9.0 * usym ** 2)
-        # +(1/32)(1+11u) cos(2b) from the scalar term
-        t_scl = (1.0 + 11.0 * usym) / 32.0
-        up = e2 * (t_kin + lf[i] * t_drv + t_scl)      # <ell+2| H |ell>
-        dn = e2 * (t_kin_t - lf[j] * t_drv + t_scl)    # <ell| H |ell+2>
-        herm = 0.5 * (up + np.conj(dn))
-        m[j, i] = herm
-        m[i, j] = np.conj(herm)
-    return m
-
-
-def ellipticity_shift_oracle(trap: TrapSpec, ells, cutoff: int = 64,
-                             probe: float = 0.02) -> np.ndarray:
-    """First-order ellipticity shift (J) extracted numerically.
-
-    Diagonalizes L^2/2 plus the full deformation matrix at probe
-    eccentricities eps and eps/2 and Richardson-extrapolates the doublet-mean
-    shifts to isolate the part linear in eps^2.  Independent of the closed
-    form: the couplings are present and removed only by the extrapolation.
-    """
-    ells = np.atleast_1d(np.asarray(ells, dtype=int))
-    if np.any(np.abs(ells) + 8 > cutoff):
-        raise InvalidParameterError("oracle cutoff too close to max |ell|")
-    ladder = np.arange(-cutoff, cutoff + 1)
-    h0 = np.diag(0.5 * ladder.astype(float) ** 2)
-
-    def shifts(eps: float) -> np.ndarray:
-        h = h0 + _ellipticity_matrix(ladder, trap.omega_internal, eps)
-        evals = np.linalg.eigvalsh(h)
-        out = np.empty(len(ells))
-        for idx, ell in enumerate(ells):
-            k = abs(int(ell))
-            if k == 0:
-                out[idx] = evals[0]
-            else:
-                out[idx] = 0.5 * np.sum(evals[2 * k - 1:2 * k + 1]) - 0.5 * k ** 2
-        return out
-
-    s1 = shifts(probe)
-    s2 = shifts(0.5 * probe)
-    linear_in_eps2 = (16.0 * s2 - s1) / 3.0
-    scale = (trap.eccentricity / probe) ** 2
-    return linear_in_eps2 * scale * trap.energy_unit

@@ -14,6 +14,7 @@ import numpy as np
 
 import ringsim as rs
 from ringsim.cli import main as cli_main
+from oracles import ellipse_curve_shift, tilt_ladder_shift
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
@@ -216,9 +217,8 @@ def test_criterion_08_perturbation_oracles(trap):
                            tilt_amplitude=v0 * energy_unit)
 
     def deviation(v0, ell):
-        t2 = tilted(v0)
-        return abs(float(rs.tilt_shift(t2, ell))
-                   / rs.tilt_shift_oracle(t2, ell) - 1.0)
+        closed = float(rs.tilt_shift(tilted(v0), ell)) / energy_unit
+        return abs(closed / tilt_ladder_shift(v0, 0.0, ell) - 1.0)
 
     worst_small = max(deviation(0.01, ell) for ell in (0, 1, 2, 3))
     trend_ok = True
@@ -235,19 +235,20 @@ def test_criterion_08_perturbation_oracles(trap):
     elliptic = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
                            omega_perp=trap.omega_perp, eccentricity=0.1)
     modes = np.array([0, 1, 2, 3, 5, 8, 13])
-    ratio = (rs.ellipticity_shift_oracle(elliptic, modes)
-             / rs.ellipticity_shift(elliptic, modes))
-    documented = bool(np.all(np.isfinite(ratio)))
+    curve = ellipse_curve_shift(modes, "semi-major", probe=0.01) * 0.1 ** 2
     u = rs.centrifugal_displacement(elliptic, modes) / elliptic.radius
-    fitted = float(np.mean(ratio * (1.0 + 3.0 * u) / (1.0 - 3.0 * u)))
+    ratio = curve / (rs.ellipticity_shift(elliptic, modes) / energy_unit
+                     / (1.0 + 3.0 * u))
+    documented = bool(np.all(np.isfinite(ratio)))
+    fitted = float(np.mean(ratio))
     stable = abs(fitted / (2.0 * math.pi) - 1.0) < 1e-3
     ok = (worst_small < 0.02 and trend_ok and square < 1e-12
           and documented and stable)
     assert _report(8, ok, "tilt closed form vs dense diagonalization: "
                    "%.2e worst at amplitude 0.01, quadratic trend %s; "
-                   "transverse square-completion residual %.1e; elliptic "
-                   "oracle over closed form, radial factors removed: "
-                   "fitted constant %.6f (2*pi) — discrepancy documented"
+                   "transverse square-completion residual %.1e; thin-ring "
+                   "ellipse curve over closed form, (1 + 3u) removed: "
+                   "fitted constant %.10f (2*pi) — discrepancy documented"
                    % (worst_small, trend_ok, square, fitted))
 
 

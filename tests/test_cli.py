@@ -428,3 +428,18 @@ def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    "sense_resolution_rad = 0", "sense_phase_resolution_rad = -1",
+    "sense_tilt_angle_rad = 2", "atom_number = 0",
+], ids=["resolution", "phase-resolution", "tilt-angle", "no-atoms"])
+def test_sense_names_the_config_key_it_refuses(tmp_path, capsys, change):
+    key = change.split()[0]
+    lines = [line for line in QUICK.splitlines()
+             if line.split()[0] != key] + [change]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["sense", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error: key %s: " % key in capsys.readouterr().err

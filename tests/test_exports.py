@@ -23,3 +23,10 @@ def test_every_public_import_is_exported():
     public = {name for name in _imported_names() if not name.startswith("_")}
     assert public, "no package imports found in ringsim/__init__.py"
     assert sorted(public - set(rs.__all__)) == []
+
+
+def test_no_oracle_ships_in_the_package():
+    # reference computations live in tests/oracles.py, apart from the code
+    # they judge
+    for names in (rs.__all__, dir(rs.spectrum)):
+        assert [name for name in names if name.endswith("_oracle")] == []

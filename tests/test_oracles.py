@@ -3,6 +3,7 @@ import ast
 import pathlib
 
 import numpy as np
+import pytest
 
 import oracles
 
@@ -22,6 +23,27 @@ def test_oracles_import_nothing_from_ringsim():
     assert imported, "no imports found in tests/oracles.py"
     assert [name for name in imported
             if name.partition(".")[0] == "ringsim"] == []
+
+
+def test_tilt_oracle_needs_margin_above_ell():
+    with pytest.raises(ValueError, match="cutoff too close"):
+        oracles.tilt_ladder_shift(0.01, 0.0, 44, cutoff=48)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 5])
+def test_tilt_oracle_is_zero_without_a_tilt(ell):
+    assert oracles.tilt_ladder_shift(0.0, 0.0, ell) == 0.0
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_tilt_oracle_doublet_mean_ignores_the_tilt_phase(ell):
+    # rotating the potential is a gauge change of the ladder basis, so the
+    # levels keep their values; subtracting ell^2 / 2 leaves the shift with
+    # eigvalsh's absolute rounding, about 1e-14
+    at_zero = oracles.tilt_ladder_shift(0.04, 0.0, ell)
+    for phase in (0.7, 2.0, -3.0):
+        assert oracles.tilt_ladder_shift(0.04, phase, ell) == pytest.approx(
+            at_zero, rel=0, abs=1e-13)
 
 
 def test_curve_oracle_is_exact_on_a_circle():

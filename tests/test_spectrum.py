@@ -1,13 +1,12 @@
 """Dispersion closed forms against their independent numerical oracles."""
 import math
-import re
 
 import numpy as np
 import pytest
 
 import ringsim as rs
 from conftest import OMEGA_INTERNAL
-from oracles import ellipse_curve_shift
+from oracles import ellipse_curve_shift, tilt_ladder_shift
 
 
 def _tilted(trap, v0_internal):
@@ -37,12 +36,15 @@ def test_tilt_closed_form_values(trap):
         rtol=1e-13)
 
 
+def _closed_tilt(trap, ell):
+    return float(rs.tilt_shift(trap, ell)) / trap.energy_unit
+
+
 def test_tilt_oracle_matches_closed_form(trap):
     t2 = _tilted(trap, 0.01)
     for ell in (0, 1, 2, 3):
-        closed = float(rs.tilt_shift(t2, ell))
-        oracle = rs.tilt_shift_oracle(t2, ell)
-        assert closed == pytest.approx(oracle, rel=2e-2)
+        oracle = tilt_ladder_shift(0.01, 0.0, ell)
+        assert _closed_tilt(t2, ell) == pytest.approx(oracle, rel=2e-2)
 
 
 def test_tilt_oracle_residual_shrinks_quadratically(trap):
@@ -51,9 +53,8 @@ def test_tilt_oracle_residual_shrinks_quadratically(trap):
     for ell in (0, 1, 2):
         devs = []
         for v0 in (0.04, 0.02, 0.01):
-            t2 = _tilted(trap, v0)
-            devs.append(abs(float(rs.tilt_shift(t2, ell))
-                            / rs.tilt_shift_oracle(t2, ell) - 1.0))
+            devs.append(abs(_closed_tilt(_tilted(trap, v0), ell)
+                            / tilt_ladder_shift(v0, 0.0, ell) - 1.0))
         assert 2.5 < devs[0] / devs[1] < 6.0
         assert 2.5 < devs[1] / devs[2] < 6.0
 
@@ -79,12 +80,6 @@ def test_a_tilt_corrected_model_warns_where_its_formula_fails(trap, v0):
     with pytest.warns(rs.PerturbationValidityWarning) as caught:
         spec.dispersion_model()
     assert [w.filename for w in caught] == [__file__]
-
-
-def test_tilt_oracle_needs_margin_above_ell(trap):
-    t2 = _tilted(trap, 0.01)
-    with pytest.raises(rs.InvalidParameterError):
-        rs.tilt_shift_oracle(t2, 44, cutoff=48)
 
 
 def test_centrifugal_displacement_formula(trap):
@@ -146,38 +141,14 @@ def test_ellipticity_closed_form_structure(trap):
                                rtol=1e-12)
 
 
-def test_ellipticity_oracle_probe_independent(trap):
-    t2 = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
-                     omega_perp=trap.omega_perp, eccentricity=0.1)
-    coarse = rs.ellipticity_shift_oracle(t2, [1, 2, 3], probe=0.02)
-    fine = rs.ellipticity_shift_oracle(t2, [1, 2, 3], probe=0.01)
-    np.testing.assert_allclose(coarse, fine, rtol=1e-5)
-
-
-def test_ellipticity_oracle_is_2pi_above_the_closed_form(trap):
-    # The closed form and the first-order oracle over the full deformation
-    # operator do not agree.  Removing each side's radial factor, (1 + 3u)
-    # and (1 - 3u), leaves a clean multiplicative constant of 2*pi.
+def test_curve_route_is_2pi_above_the_closed_form(trap):
+    # the thin-ring curve Hamiltonian on an ellipse with R the semi-major
+    # axis has no radial direction, so only the closed form's (1 + 3u) is
+    # divided out; the eps^6 residue of the curve's extrapolation at probes
+    # 0.01 and 0.005 stays below 4e-9
     t2 = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
                      omega_perp=trap.omega_perp, eccentricity=0.1)
     ells = np.array([0, 1, 2, 3, 5, 8, 13])
-    ratio = (rs.ellipticity_shift_oracle(t2, ells)
-             / rs.ellipticity_shift(t2, ells))
-    u = rs.centrifugal_displacement(t2, ells) / t2.radius
-    bare = ratio * (1.0 + 3.0 * u) / (1.0 - 3.0 * u)
-    fitted = float(np.mean(bare))
-    assert fitted / (2.0 * math.pi) == pytest.approx(1.0, abs=1e-4)
-    assert float(np.max(np.abs(bare - fitted))) < 1e-3
-
-
-def test_curve_route_is_2pi_above_the_closed_form(trap):
-    # a third route: the thin-ring curve Hamiltonian on an ellipse with R
-    # the semi-major axis has no radial direction, so only the closed
-    # form's (1 + 3u) is divided out; the eps^6 residue of the curve's
-    # extrapolation at probes 0.01 and 0.005 stays below 4e-9
-    t2 = rs.TrapSpec(mass=trap.mass, radius=trap.radius,
-                     omega_perp=trap.omega_perp, eccentricity=0.1)
-    ells = np.array([0, 1, 2, 3, 5, 8])
     curve = ellipse_curve_shift(ells, "semi-major", probe=0.01) * 0.1 ** 2
     u = rs.centrifugal_displacement(t2, ells) / t2.radius
     closed = rs.ellipticity_shift(t2, ells) / t2.energy_unit / (1.0 + 3.0 * u)
@@ -229,26 +200,11 @@ def test_trap_validation():
     with pytest.raises(rs.InvalidParameterError):
         rs.TrapSpec(mass=rs.K39_MASS_KG, radius=5.9e-6, omega_perp=6.4e3,
                     tilt_amplitude=-1e-30)
+    with pytest.raises(rs.InvalidParameterError,
+                       match="omega_perp must be positive"):
+        rs.TrapSpec(mass=rs.K39_MASS_KG, radius=5.9e-6, omega_perp=-1.0)
 
 
 def test_omega_internal_pinned(trap):
     assert trap.omega_internal == pytest.approx(OMEGA_INTERNAL, rel=1e-13)
 
-
-# each bad input with the message it raises: (message, call)
-_GUARDS = {
-    "negative-omega-perp": ("omega_perp must be positive",
-                            lambda trap: rs.TrapSpec(
-                                mass=trap.mass, radius=trap.radius,
-                                omega_perp=-1.0)),
-    "oracle-cutoff": ("oracle cutoff too close to max |ell|",
-                      lambda trap: rs.ellipticity_shift_oracle(
-                          trap, [60], cutoff=64)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_GUARDS))
-def test_guards_refuse_bad_trap_and_oracle_cutoff(trap, case):
-    message, call = _GUARDS[case]
-    with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
-        call(trap)
