@@ -1,5 +1,6 @@
 """Dispersion closed forms against their independent numerical oracles."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,11 +201,23 @@ def test_trap_validation():
     with pytest.raises(rs.InvalidParameterError):
         rs.TrapSpec(mass=rs.K39_MASS_KG, radius=5.9e-6, omega_perp=6.4e3,
                     tilt_amplitude=-1e-30)
-    with pytest.raises(rs.InvalidParameterError,
-                       match="omega_perp must be positive"):
-        rs.TrapSpec(mass=rs.K39_MASS_KG, radius=5.9e-6, omega_perp=-1.0)
 
 
 def test_omega_internal_pinned(trap):
     assert trap.omega_internal == pytest.approx(OMEGA_INTERNAL, rel=1e-13)
 
+
+# each bad input with the message it raises: (message, call)
+_GUARDS = {
+    "negative-omega-perp": ("omega_perp must be positive",
+                            lambda trap: rs.TrapSpec(
+                                mass=trap.mass, radius=trap.radius,
+                                omega_perp=-1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_guards_refuse_bad_trap_and_oracle_cutoff(trap, case):
+    message, call = _GUARDS[case]
+    with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
+        call(trap)
