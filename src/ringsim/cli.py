@@ -52,10 +52,6 @@ TWO_PI = 2.0 * np.pi
 
 def _header_lines(config: ScenarioConfig, trap, interaction, command: str,
                   extra=()) -> list:
-    # with no atoms the coupling reads 0, not the -0 of an attractive length
-    g_int = 0.0
-    if interaction.atom_number > 0:
-        g_int = interaction.coupling_internal(trap)
     text = config.canonical_text()
     lines = ["# ringsim %s" % command,
              "# config_sha256 = %s" % _sha256(text)]
@@ -63,7 +59,7 @@ def _header_lines(config: ScenarioConfig, trap, interaction, command: str,
         lines.append("# config %s" % line)
     derived = [("internal omega_perp", trap.omega_internal),
                ("internal sigma_u_over_radius", trap.sigma_u / trap.radius),
-               ("internal coupling", g_int),
+               ("internal coupling", interaction.coupling_internal(trap)),
                ("time_unit_s", trap.time_unit),
                ("ideal_revival_s", revival_time(trap))]
     for key, value in derived + list(extra):

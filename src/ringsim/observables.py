@@ -28,9 +28,7 @@ def fidelity(a, b):
 
     States must be both spectral with equal cutoff or both grid with equal
     size; mixing representations silently hides truncation error, so it is
-    refused rather than converted.  Two grid-value arrays of equal shape
-    (rows, grid_n) give one overlap per row pair, each bitwise that of the
-    two rows as GridStates.
+    refused rather than converted.
     """
     if isinstance(a, SpectralState) and isinstance(b, SpectralState):
         if a.cutoff != b.cutoff:
@@ -40,12 +38,6 @@ def fidelity(a, b):
         if a.size != b.size:
             raise InvalidParameterError("grid size mismatch in fidelity")
         return _grid_fidelity(a.values, b.values)
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        a, b = _grid_rows(a), _grid_rows(b)
-        if a.shape != b.shape:
-            raise InvalidParameterError(
-                "grid rows differ in shape in fidelity")
-        return np.array([_grid_fidelity(x, y) for x, y in zip(a, b)])
     raise InvalidParameterError(
         "fidelity requires two states of the same representation")
 
@@ -150,14 +142,6 @@ def _grid_window(grid_n: int, window: tuple, kind: str):
     return mask, weights
 
 
-@lru_cache(maxsize=32)
-def _grid_phasor(grid_n: int) -> np.ndarray:
-    """Read-only e^{i alpha} on the grid of a `grid_n`-point GridState."""
-    phasor = np.exp(1j * (TWO_PI * np.arange(grid_n) / grid_n))
-    phasor.setflags(write=False)
-    return phasor
-
-
 def _windows_disjoint(first, second) -> bool:
     lo1, hi1 = first
     lo2, hi2 = second
@@ -227,26 +211,18 @@ def population_imbalance(state, *, weight: str = "cosine_squared",
 def circular_centroid(state):
     """Density centroid angle arg(<e^{i alpha}>) in [0, 2 pi).
 
-    For a spectral state the expectation is the ladder correlation
-    sum_ell conj(c_{ell+1}) c_ell, evaluated without building a grid.  For
-    a grid state the phasor e^{i alpha} is built once per grid size and
-    cached, since a run reads every record on one grid.
+    A spectral state is read on the smallest power-of-two grid that holds
+    its ladder, as `density_profile` reads it.
     Raises CentroidUndefinedError when the circular moment is too small to
     carry a direction (e.g. a uniform or antipodally symmetric density).
     An array of grid values of shape (rows, grid_n) gives one angle per
     row, bitwise that of the row as a GridState, and NaN for a row whose
     moment is too small.
     """
-    if isinstance(state, SpectralState):
-        amps = state.amplitudes
-        moments = np.array([np.sum(np.conj(amps[1:]) * amps[:-1])])
-    elif isinstance(state, (GridState, np.ndarray)):
-        density, _ = _densities(state, None)
-        n = density.shape[1]
-        moments = _row_sums(density * _grid_phasor(n)) * TWO_PI / n
-    else:
-        raise InvalidParameterError("expected a SpectralState or GridState")
-    single = not isinstance(state, np.ndarray)
+    density, single = _densities(state, None)
+    n = density.shape[1]
+    phasor = np.exp(1j * (TWO_PI * np.arange(n) / n))
+    moments = _row_sums(density * phasor) * TWO_PI / n
     defined = np.abs(moments) >= 1e-6
     if single and not defined[0]:
         raise CentroidUndefinedError(

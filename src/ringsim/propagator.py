@@ -138,9 +138,10 @@ class InteractionSpec:
                           stacklevel=_outside_stacklevel())
 
     def coupling(self, trap: TrapSpec) -> float:
-        """Line-density coupling g1 = 2 hbar omega_perp a N (J m)."""
+        """Line-density coupling g1 = 2 hbar omega_perp a N (J m), which
+        reads +0, not -0, with no atoms."""
         return 2.0 * HBAR * trap.omega_perp * self.scattering_length * \
-            self.atom_number
+            self.atom_number + 0.0
 
     def coupling_internal(self, trap: TrapSpec) -> float:
         """Dimensionless ring coupling g1 m R / hbar^2."""

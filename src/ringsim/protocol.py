@@ -46,8 +46,9 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError,
                      RevivalNotFoundError, require_finite)
-from .observables import (WEIGHT_KINDS, _window_profile, circular_centroid,
-                          density_profile, fidelity, population_imbalance)
+from .observables import (WEIGHT_KINDS, _grid_fidelity, _window_profile,
+                          circular_centroid, density_profile, fidelity,
+                          population_imbalance)
 from .propagator import (BLANES_MOAN, TWO_PI, FluxSpec, InteractionSpec,
                          _evolved, _SplitStepEngine, evolve_linear,
                          ground_state_imaginary_time, local_phase_per_pair,
@@ -413,7 +414,7 @@ def _splitstep_objective(spec: ProtocolSpec, model: DispersionModel):
             driver.advance(times[i], t)
             times.insert(i + 1, t)
             states.insert(i + 1, driver.values)
-        return float(fidelity(target([t]), driver.values)[0])
+        return _grid_fidelity(target([t])[0], driver.values[0])
 
     return objective, checkpoints
 
@@ -477,6 +478,15 @@ def _linear_scan(psi0: SpectralState, target: SpectralState, times,
     return int(near[best]), exact[best]
 
 
+def _search_times(spec: ProtocolSpec) -> tuple:
+    """(lo s, hi s, count) of the revival search's coarse scan: its window
+    at a pitch of a quarter of 1 / omega_perp, and at least 8 points."""
+    ideal = revival_time(spec.trap)
+    lo, hi = (edge * ideal for edge in spec.search_window)
+    pitch = 0.25 / spec.trap.omega_perp
+    return lo, hi, max(8, int(math.ceil((hi - lo) / pitch)) + 1)
+
+
 def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     """Locate the full-revival readout time by fidelity maximization.
 
@@ -493,11 +503,8 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     spectrally, scans with estimates and re-checks its best coarse points
     through the exact objective (`_linear_scan`), and keeps no checkpoints.
     """
-    ideal = revival_time(spec.trap)
-    lo, hi = (edge * ideal for edge in spec.search_window)
-    resolution = spec.search_resolution_factor * ideal
-    pitch = 0.25 / spec.trap.omega_perp
-    count = max(8, int(math.ceil((hi - lo) / pitch)) + 1)
+    lo, hi, count = _search_times(spec)
+    resolution = spec.search_resolution_factor * revival_time(spec.trap)
     times = np.linspace(lo, hi, count)
     model = spec.dispersion_model()
     if spec.solver == "splitstep":
@@ -641,8 +648,10 @@ def _measure(rows: np.ndarray, times, spec: ProtocolSpec, targets):
         rows, weight=spec.readout_weight,
         right_window=(center - 0.5 * np.pi, center + 0.5 * np.pi),
         left_window=(center + 0.5 * np.pi, center + 1.5 * np.pi))
-    return list(zip(times, fidelity(targets(times), rows).tolist(),
-                    imbalance.tolist(), circular_centroid(rows).tolist()))
+    # a list, so the targets are freed before the centroid's temporaries
+    fidelities = list(map(_grid_fidelity, targets(times), rows))
+    return list(zip(times, fidelities, imbalance.tolist(),
+                    circular_centroid(rows).tolist()))
 
 
 def _walk(runs):

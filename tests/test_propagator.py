@@ -88,6 +88,12 @@ def test_interaction_coupling_values(trap):
         direct * trap.mass * trap.radius / rs.HBAR ** 2, rel=1e-12)
 
 
+def test_no_atoms_couple_with_plus_zero_at_an_attractive_length(trap):
+    empty = rs.InteractionSpec(-rs.BOHR_RADIUS, 0)
+    assert math.copysign(1.0, empty.coupling(trap)) == 1.0
+    assert math.copysign(1.0, empty.coupling_internal(trap)) == 1.0
+
+
 def test_attractive_coupling_warns():
     with pytest.warns(rs.AttractiveCouplingWarning) as caught:
         rs.InteractionSpec(scattering_length=-1e-10, atom_number=100.0)

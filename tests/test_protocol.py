@@ -10,7 +10,8 @@ import ringsim as rs
 from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
                                 step_count)
 from ringsim.protocol import (SCAN_BLOCK, _golden_max, _linear_scan,
-                              _measure, _revival_target, _scan_estimates)
+                              _measure, _revival_target, _scan_estimates,
+                              _search_times)
 
 
 def _phase_per_pair(scheme):
@@ -534,6 +535,22 @@ def test_the_linear_search_finds_the_time_of_a_per_point_scan(trap):
     expected = _golden_max(objective, times[best - 1], times[best + 1],
                            1e-6 * ideal)
     assert rs.find_revival_time(spec).time_s == expected
+
+
+def test_a_narrow_search_window_still_scans_eight_points(trap, monkeypatch):
+    # a window of 3.4 pitches would give 5 points at the pitch alone
+    spec = _linear_spec(trap, search_window=(0.9995, 1.0005))
+    lo, hi, count = _search_times(spec)
+    assert math.ceil((hi - lo) / (0.25 / trap.omega_perp)) + 1 == 5
+    scanned = []
+
+    def scan(psi0, target, times, *rest):
+        scanned.append(len(times))
+        return _linear_scan(psi0, target, times, *rest)
+
+    monkeypatch.setattr(rs.protocol, "_linear_scan", scan)
+    rs.find_revival_time(spec)
+    assert scanned == [count] == [8]
 
 
 # --------------------------------------------------------------------------

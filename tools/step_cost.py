@@ -46,8 +46,8 @@ from ringsim.observables import fidelity  # noqa: E402
 from ringsim.propagator import FluxSpec, evolve_linear  # noqa: E402
 from ringsim.protocol import (SCAN_BLOCK, _linear_scan,  # noqa: E402
                               _measure, _prepare, _prepared_packet,
-                              _revival_target, _SplitStepDriver)
-from ringsim.spectrum import revival_time  # noqa: E402
+                              _revival_target, _search_times,
+                              _SplitStepDriver)
 from ringsim.states import rotate  # noqa: E402
 
 ROWS = (1, 7, 13)
@@ -93,9 +93,7 @@ def search_point_cost(spec, repeats: int) -> float:
     model = spec.dispersion_model()
     psi0, _ = _prepare(spec)
     target = rotate(psi0, math.pi)
-    ideal = revival_time(spec.trap)
-    lo, hi = (edge * ideal for edge in spec.search_window)
-    count = math.ceil((hi - lo) / (0.25 / spec.trap.omega_perp)) + 1
+    lo, hi, count = _search_times(spec)
     times = np.linspace(lo, hi, count)
     objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
     return _best_of(repeats, lambda: _linear_scan(
