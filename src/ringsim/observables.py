@@ -47,9 +47,9 @@ def _grid_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _grid_rows(values) -> np.ndarray:
-    """`values` as (rows, grid_n) complex grid values, checked per row as
-    `GridState` checks its values."""
-    values = np.asarray(values, dtype=np.complex128)
+    """`values` as C-ordered (rows, grid_n) complex grid values, checked per
+    row as `GridState` checks its values."""
+    values = np.ascontiguousarray(values, dtype=np.complex128)
     if values.ndim != 2:
         raise InvalidParameterError(
             "grid values must be two-dimensional, one state per row")
@@ -73,12 +73,6 @@ def _densities(state, grid_n: int | None):
     if grid_n is not None and grid_n != rows.shape[1]:
         raise InvalidParameterError("grid_n does not match the state's grid")
     return np.abs(rows) ** 2, False
-
-
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    # one 1-D sum per row, which rounds as `np.sum` of the row alone; a sum
-    # along axis 1 rounds differently
-    return np.array([np.add.reduce(row) for row in rows])
 
 
 def _as_grid(state, grid_n: int | None) -> GridState:
@@ -195,7 +189,10 @@ def population_imbalance(state, *, weight: str = "cosine_squared",
     totals = []
     for window in (right_window, left_window):
         mask, w = _grid_window(density.shape[1], tuple(window), weight)
-        totals.append(_row_sums(density[:, mask] * w))
+        # an axis-1 sum of a C-ordered block rounds each row as np.sum of
+        # that row; density[:, mask] would be F-ordered, and round otherwise
+        totals.append(np.add.reduce(density.compress(mask, axis=1) * w,
+                                    axis=1))
     n_right, n_left = totals
     total = n_right + n_left
     if single and total[0] < 1e-12:
@@ -222,7 +219,7 @@ def circular_centroid(state):
     density, single = _densities(state, None)
     n = density.shape[1]
     phasor = np.exp(1j * (TWO_PI * np.arange(n) / n))
-    moments = _row_sums(density * phasor) * TWO_PI / n
+    moments = np.add.reduce(density * phasor, axis=1) * TWO_PI / n
     defined = np.abs(moments) >= 1e-6
     if single and not defined[0]:
         raise CentroidUndefinedError(

@@ -148,6 +148,45 @@ class InteractionSpec:
         return self.coupling(trap) * trap.mass * trap.radius / HBAR ** 2
 
 
+@dataclass(frozen=True)
+class _MeanField:
+    """The quasi-1d mean-field term g |psi|^2 of a ring, in internal units.
+
+    The one holder of the ring coupling g (`coupling_internal`, 0 without an
+    interaction): the step loops, the energy, the derived step and the
+    linear solver's refusal all read it here.
+    """
+
+    g: float
+
+    @classmethod
+    def of(cls, interaction: InteractionSpec | None,
+           trap: TrapSpec) -> _MeanField:
+        return cls(0.0 if interaction is None
+                   else interaction.coupling_internal(trap))
+
+    @property
+    def acts(self) -> bool:
+        return self.g != 0.0
+
+    def local_into(self, values: np.ndarray, potential,
+                   out: np.ndarray) -> None:
+        """The local term V + g |values|^2 into the real buffer `out`."""
+        np.abs(values, out=out)
+        out *= out
+        out *= self.g
+        if potential is not None:
+            out += potential
+
+    def energy(self, density: np.ndarray, dalpha: float):
+        """Interaction energy 1/2 g dalpha sum n^2 of a density n."""
+        return 0.5 * self.g * dalpha * np.sum(density ** 2)
+
+    def peak_rate(self, values: np.ndarray) -> float:
+        """Largest local rate |g| max |values|^2 of the term alone."""
+        return abs(self.g) * float(np.max(np.abs(values) ** 2))
+
+
 def evolve_linear(state: SpectralState, duration: float,
                   model: DispersionModel,
                   flux: FluxSpec | None = None) -> SpectralState:
@@ -208,7 +247,7 @@ class _SplitStepEngine:
     with E the (possibly corrected) dispersion evaluated on the full FFT
     harmonic ladder and V an arbitrary time-dependent angular potential.
     Two loops step a copy of the caller's values in place, alternating
-    local substeps, with the local term V + g |psi|^2 from `_local_into`,
+    local substeps, with the local term V + g |psi|^2 from `mean_field`,
     and kinetic substeps: `propagate` in real time, in the steps of a
     splitting scheme (STRANG by default), where the kinetic phase also
     carries the gauge-flux term linear in ell, and `relax` in imaginary
@@ -230,8 +269,7 @@ class _SplitStepEngine:
         if grid_n < 4 or grid_n & (grid_n - 1):
             raise InvalidParameterError("grid_n must be a power of two >= 4")
         self.grid_n = grid_n
-        self.coupling = (interaction.coupling_internal(model.trap)
-                         if interaction is not None else 0.0)
+        self.mean_field = _MeanField.of(interaction, model.trap)
         self.angles = TWO_PI * np.arange(grid_n) / grid_n
         # integer harmonics of the grid in FFT order
         self.harmonics = np.rint(np.fft.fftfreq(grid_n) * grid_n).astype(int)
@@ -253,18 +291,17 @@ class _SplitStepEngine:
         self._kin[key] = factor
         return factor
 
-    def _local_into(self, values: np.ndarray, potential,
-                    out: np.ndarray) -> None:
-        # V + g |values|^2 into the real buffer `out`
-        np.abs(values, out=out)
-        out *= out
-        out *= self.coupling
+    def _check_step(self, local: np.ndarray, scale: float,
+                    potential) -> None:
+        # with no potential local is fl(g n), which keeps the sign of g, so
+        # its largest magnitude is its max or minus its min, bitwise
         if potential is not None:
-            out += potential
-
-    @staticmethod
-    def _check_step(local: np.ndarray, scale: float) -> None:
-        peak = float(np.abs(local).max()) * scale
+            peak = np.abs(local).max()
+        elif self.mean_field.g > 0:
+            peak = local.max()
+        else:
+            peak = -local.min()
+        peak = float(peak) * scale
         if peak >= LOCAL_PHASE_LIMIT:
             raise StepSizeError(
                 "local phase advance %.3g rad per substep reaches the limit "
@@ -294,7 +331,7 @@ class _SplitStepEngine:
         """
         if duration <= 0:
             return values
-        if self.coupling == 0.0 and potential is None:
+        if not self.mean_field.acts and potential is None:
             return _ifft(self.kinetic_phase(duration, flux_on) *
                          _fft(values))
         opening, closing = scheme[0][0], scheme[0][-1]
@@ -310,11 +347,12 @@ class _SplitStepEngine:
         spectrum = np.empty_like(values)
         phase = np.empty_like(values)
         local = np.empty(values.shape)
+        local_into = self.mean_field.local_into
         pairs = n * m
         for k in range(pairs + 1):
-            self._local_into(values, potential, local)
+            local_into(values, potential, local)
             if k < pairs:
-                self._check_step(local, guard)
+                self._check_step(local, guard, potential)
             # cos and sin of -c h local, bitwise exp(-i c h local)
             c = opening if k == 0 else closing if k == pairs else fused[k % m]
             local *= -c * h
@@ -341,14 +379,15 @@ class _SplitStepEngine:
         kinetic = np.exp(-dtau * self.energies)
         spectrum = np.empty_like(values)
         local = np.empty(values.shape)
+        local_into = self.mean_field.local_into
         for _ in range(steps):
-            self._local_into(values, potential, local)
+            local_into(values, potential, local)
             local *= -0.5 * dtau
             values *= np.exp(local, out=local)
             _fft(values, out=spectrum)
             np.multiply(kinetic, spectrum, out=spectrum)
             _ifft(spectrum, out=values)
-            self._local_into(values, potential, local)
+            local_into(values, potential, local)
             local *= -0.5 * dtau
             values *= np.exp(local, out=local)
             np.abs(values, out=local)
@@ -365,7 +404,7 @@ class _SplitStepEngine:
         pot = 0.0
         if potential is not None:
             pot = dalpha * np.sum(potential * density)
-        inter = 0.5 * self.coupling * dalpha * np.sum(density ** 2)
+        inter = self.mean_field.energy(density, dalpha)
         return float(kinetic + pot + inter)
 
 

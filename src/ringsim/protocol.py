@@ -50,9 +50,9 @@ from .observables import (WEIGHT_KINDS, _grid_fidelity, _window_profile,
                           circular_centroid, density_profile, fidelity,
                           population_imbalance)
 from .propagator import (BLANES_MOAN, TWO_PI, FluxSpec, InteractionSpec,
-                         _evolved, _SplitStepEngine, evolve_linear,
-                         ground_state_imaginary_time, local_phase_per_pair,
-                         step_count)
+                         _evolved, _MeanField, _SplitStepEngine,
+                         evolve_linear, ground_state_imaginary_time,
+                         local_phase_per_pair, step_count)
 from .spectrum import DispersionModel, TrapSpec, revival_time
 from .states import (GridState, SpectralState, _ifft, gaussian_packet,
                      rotate, to_grid, to_spectral)
@@ -229,15 +229,11 @@ class ProtocolSpec:
         if self.n_records < 0 or self.n_snapshots < 0:
             raise InvalidParameterError(
                 "n_records and n_snapshots must be >= 0")
-        if self.solver == "linear" and self._coupling() != 0.0:
+        if self.solver == "linear" and _MeanField.of(self.interaction,
+                                                     self.trap).acts:
             raise ConfigError(
                 "the linear solver cannot represent a mean-field coupling; "
                 "use solver='splitstep' or zero the interaction")
-
-    def _coupling(self) -> float:
-        if self.interaction is None:
-            return 0.0
-        return self.interaction.coupling(self.trap)
 
     @property
     def effective_packet_width(self) -> float:
@@ -578,8 +574,7 @@ class _SplitStepDriver:
             self.rates = -self.phases / (self.duration / self.time_unit)
         self.dt_factor = spec.dt_factor
         if self.dt_factor is None:
-            peak = (abs(self.engine.coupling)
-                    * float(np.max(np.abs(psi0_grid.values) ** 2))
+            peak = (self.engine.mean_field.peak_rate(psi0_grid.values)
                     + float(np.max(np.abs(self.rates))))
             self.dt_factor = DT_FACTOR_CAP
             if peak > 0:

@@ -155,7 +155,8 @@ def test_grid_rows_read_each_row_as_its_grid_state():
 
 def test_grid_rows_round_as_one_sum_per_row():
     # each row's windows and moment summed as a 1-D array, as np.sum of one
-    # state does; a sum along axis 1 of the block rounds differently
+    # state does; only a sum along axis 1 of an F-ordered block, such as
+    # density[:, mask], rounds differently
     rows = np.random.default_rng(7).normal(size=(2 * 16, 2 * 512)).view(
         complex)
     windows = ((-0.5 * math.pi, 0.5 * math.pi), (0.5 * math.pi, 1.5 * math.pi))
@@ -171,8 +172,10 @@ def test_grid_rows_round_as_one_sum_per_row():
         phasor = np.exp(1j * (2.0 * math.pi * np.arange(512) / 512))
         moment = np.sum(density * phasor) * (2.0 * math.pi) / 512
         centroid.append(float(np.angle(moment) % (2.0 * math.pi)))
-    assert rs.population_imbalance(rows).tolist() == imbalance
-    assert rs.circular_centroid(rows).tolist() == centroid
+    # the same rows in Fortran order read the same
+    for block in (rows, np.asfortranarray(rows)):
+        assert rs.population_imbalance(block).tolist() == imbalance
+        assert rs.circular_centroid(block).tolist() == centroid
 
 
 _GRID = rs.to_grid(rs.gaussian_packet(0.0, 0.2, 64), 256)

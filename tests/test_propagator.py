@@ -1,13 +1,15 @@
 """Propagators: exact spectral evolution and the split-step engine."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import ringsim as rs
-from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
-                                fused_local_coefficients, step_count)
+from ringsim.propagator import (BLANES_MOAN, LOCAL_PHASE_LIMIT, STRANG,
+                                _SplitStepEngine, fused_local_coefficients,
+                                step_count)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,50 @@ def test_attractive_coupling_warns():
         rs.InteractionSpec(scattering_length=1e-10, atom_number=-5.0)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0, None],
+                         ids=["repulsive", "attractive", "none"])
+def test_the_mean_field_term_has_one_owner(trap, sign):
+    inter = None
+    if sign is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rs.AttractiveCouplingWarning)
+            inter = rs.InteractionSpec(scattering_length=sign *
+                                       rs.BOHR_RADIUS, atom_number=2e4)
+    g = 0.0 if inter is None else inter.coupling_internal(trap)
+    engine = _SplitStepEngine(rs.DispersionModel(trap, 20), 64, inter)
+    mean_field = engine.mean_field
+    values = np.random.default_rng(5).normal(size=(3, 128)).view(complex)
+    density = np.abs(values) ** 2
+    potential = np.cos(engine.angles)
+    local = np.empty(values.shape)
+    mean_field.local_into(values, None, local)
+    np.testing.assert_array_equal(local, g * density)
+    mean_field.local_into(values, potential, local)
+    np.testing.assert_array_equal(local, g * density + potential)
+    dalpha = 2.0 * math.pi / 64
+    assert mean_field.energy(density, dalpha) == \
+        0.5 * g * dalpha * np.sum(density ** 2)
+    assert mean_field.peak_rate(values) == abs(g) * density.max()
+    assert mean_field.acts == (g != 0.0)
+    # one Strang step of h advances the peak local phase |g| max n h, the
+    # same for either sign of g; with no coupling it is one exact kinetic
+    # step, which no guard checks
+    state = values[0]
+    if inter is None:
+        engine.propagate(state, 1.0, 1.0)
+    else:
+        limit = LOCAL_PHASE_LIMIT / (abs(g) * density[0].max())
+        engine.propagate(state, 0.99 * limit, 0.99 * limit)
+        with pytest.raises(rs.StepSizeError, match="reaches the limit"):
+            engine.propagate(state, 1.01 * limit, 1.01 * limit)
+    # the linear solver refuses any coupling that acts
+    if inter is None:
+        rs.ProtocolSpec(trap=trap, interaction=inter, solver="linear")
+    else:
+        with pytest.raises(rs.ConfigError, match="mean-field coupling"):
+            rs.ProtocolSpec(trap=trap, interaction=inter, solver="linear")
+
+
 def test_single_step_matches_exact_evolution_without_coupling(trap):
     model = rs.DispersionModel(trap, 40)
     packet = rs.gaussian_packet(0.0, 0.35, 40)
@@ -175,7 +221,7 @@ def coupled_engine(trap):
 def _strang_step(engine, values, h, potential, flux_on):
     # one explicit local half / kinetic full / local half step
     def local_term(vals):
-        local = engine.coupling * np.abs(vals) ** 2
+        local = engine.mean_field.g * np.abs(vals) ** 2
         return local if potential is None else local + potential
 
     values = values * np.exp(-0.5j * h * local_term(values))
@@ -219,7 +265,7 @@ def _reference_propagate(engine, values, duration, dt, potential, flux_on):
     kinetic = engine.kinetic_phase(h, flux_on)
 
     def local_term(vals):
-        local = engine.coupling * np.abs(vals) ** 2
+        local = engine.mean_field.g * np.abs(vals) ** 2
         return local if potential is None else local + potential
 
     values = values * np.exp(-0.5j * h * local_term(values))
@@ -263,7 +309,7 @@ def _explicit_step(engine, values, h, potential, scheme):
     # one step of `scheme`, unfused: local a_0 h, kinetic b_0 h, ..., local
     # a_m h
     def local_phase(vals, a):
-        local = engine.coupling * np.abs(vals) ** 2
+        local = engine.mean_field.g * np.abs(vals) ** 2
         if potential is not None:
             local = local + potential
         return np.exp(-1j * a * h * local)
@@ -318,7 +364,7 @@ def test_an_interval_takes_no_step_longer_than_dt(coupled_engine):
     engine, values = coupled_engine
     h = 6 * 2e-5 * 2.0 * math.pi
     c = max(abs(a) for a in fused_local_coefficients(BLANES_MOAN))
-    density = engine.coupling * np.abs(values) ** 2
+    density = engine.mean_field.g * np.abs(values) ** 2
     potential = np.full(engine.grid_n, 0.09 / (c * h) - density.max())
     assert potential[0] > 0
     engine.propagate(values, 1.4 * h, h, potential, True, BLANES_MOAN)
@@ -332,7 +378,7 @@ def _imaginary_strang_step(engine, values, dtau, potential):
     # one explicit normalised imaginary-time step: local half / kinetic
     # full / local half, then unit norm with measure 2 pi / N
     def local_term(vals):
-        return engine.coupling * np.abs(vals) ** 2 + potential
+        return engine.mean_field.g * np.abs(vals) ** 2 + potential
 
     values = values * np.exp(-0.5 * dtau * local_term(values))
     values = np.fft.ifft(np.exp(-dtau * engine.energies) *

@@ -217,7 +217,7 @@ _GUARDS = {
 
 
 @pytest.mark.parametrize("case", sorted(_GUARDS))
-def test_guards_refuse_bad_trap_and_oracle_cutoff(trap, case):
+def test_guards_refuse_a_bad_trap(trap, case):
     message, call = _GUARDS[case]
     with pytest.raises(rs.InvalidParameterError, match=re.escape(message)):
         call(trap)

@@ -81,7 +81,8 @@ class StepCounter:
             duration, dt = call["duration"], call["dt"]
             if duration <= 0:
                 pairs = 0
-            elif call["self"].coupling == 0.0 and call["potential"] is None:
+            elif (not call["self"].mean_field.acts
+                  and call["potential"] is None):
                 pairs = 1
             else:
                 pairs = len(call["scheme"][1]) * step_count(duration, dt)
