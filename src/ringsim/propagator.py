@@ -291,17 +291,9 @@ class _SplitStepEngine:
         self._kin[key] = factor
         return factor
 
-    def _check_step(self, local: np.ndarray, scale: float,
-                    potential) -> None:
-        # with no potential local is fl(g n), which keeps the sign of g, so
-        # its largest magnitude is its max or minus its min, bitwise
-        if potential is not None:
-            peak = np.abs(local).max()
-        elif self.mean_field.g > 0:
-            peak = local.max()
-        else:
-            peak = -local.min()
-        peak = float(peak) * scale
+    @staticmethod
+    def _check_step(local: np.ndarray, scale: float) -> None:
+        peak = float(np.abs(local).max()) * scale
         if peak >= LOCAL_PHASE_LIMIT:
             raise StepSizeError(
                 "local phase advance %.3g rad per substep reaches the limit "
@@ -352,7 +344,7 @@ class _SplitStepEngine:
         for k in range(pairs + 1):
             local_into(values, potential, local)
             if k < pairs:
-                self._check_step(local, guard, potential)
+                self._check_step(local, guard)
             # cos and sin of -c h local, bitwise exp(-i c h local)
             c = opening if k == 0 else closing if k == pairs else fused[k % m]
             local *= -c * h

@@ -148,6 +148,19 @@ def test_the_mean_field_term_has_one_owner(trap, sign):
             rs.ProtocolSpec(trap=trap, interaction=inter, solver="linear")
 
 
+def test_a_coupling_that_underflows_internally_does_not_act(trap):
+    # a N of 1e-280 m: g1 is nonzero in J m but its internal value rounds
+    # to 0, so the split-step engine steps it as free and the linear
+    # solver accepts it
+    inter = rs.InteractionSpec(scattering_length=1e-280, atom_number=1.0)
+    assert inter.coupling(trap) != 0.0
+    assert inter.coupling_internal(trap) == 0.0
+    engine = _SplitStepEngine(rs.DispersionModel(trap, 20), 64, inter)
+    assert not engine.mean_field.acts
+    spec = rs.ProtocolSpec(trap=trap, interaction=inter, solver="linear")
+    assert spec.solver == "linear"
+
+
 def test_single_step_matches_exact_evolution_without_coupling(trap):
     model = rs.DispersionModel(trap, 40)
     packet = rs.gaussian_packet(0.0, 0.35, 40)
