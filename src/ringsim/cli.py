@@ -46,8 +46,7 @@ from .sensing import (GaugeScenario, flux_action, gravitational_phase,
                       rotation_per_revival, scattering_phase)
 from .spectrum import (DispersionModel, centrifugal_shift, ellipticity_shift,
                        revival_time, tilt_shift)
-
-TWO_PI = 2.0 * np.pi
+from .states import TWO_PI
 
 
 def _header_lines(config: ScenarioConfig, trap, interaction, command: str,

@@ -9,6 +9,7 @@ equals -cos(imprinted phase) in the ideal limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,9 +17,8 @@ import numpy as np
 
 from .errors import (CentroidUndefinedError, IndeterminateImbalanceError,
                      InvalidParameterError)
-from .states import GridState, SpectralState, to_grid
-
-TWO_PI = 2.0 * np.pi
+from .states import (TWO_PI, GridState, SpectralState, _angles,
+                     _check_grid_size, to_grid)
 
 WEIGHT_KINDS = ("cosine_squared", "uniform")
 
@@ -53,9 +53,7 @@ def _grid_rows(values) -> np.ndarray:
     if values.ndim != 2:
         raise InvalidParameterError(
             "grid values must be two-dimensional, one state per row")
-    n = values.shape[1]
-    if n < 4 or n & (n - 1):
-        raise InvalidParameterError("grid size must be a power of two >= 4")
+    _check_grid_size(values.shape[1])
     if not np.isfinite(values).all():
         raise InvalidParameterError("grid values must be finite")
     return values
@@ -128,12 +126,19 @@ def _grid_window(grid_n: int, window: tuple, kind: str):
     The grid is that of a `grid_n`-point GridState; a readout takes the
     same windows at every record, so each pair is built once.
     """
-    angles = TWO_PI * np.arange(grid_n) / grid_n
-    mask, profile = _window_profile(angles, window, kind)
+    mask, profile = _window_profile(_angles(grid_n), window, kind)
     weights = profile[mask]
     mask.setflags(write=False)
     weights.setflags(write=False)
     return mask, weights
+
+
+def _finite_window(window) -> tuple:
+    """The edges (lo, hi) of `window`, refused unless both are finite."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameterError("window edges must be finite")
+    return lo, hi
 
 
 def _windows_disjoint(first, second) -> bool:
@@ -151,13 +156,13 @@ def window_snap_distance(window, grid_n: int) -> float:
     Window edges land between grid points in general; masks effectively snap
     them to the sampled angles.  This reports the worse of the two edge
     offsets so callers can judge (or log) the discretization of a readout
-    window on an `grid_n`-point grid.
+    window on a `grid_n`-point grid.
     """
     if grid_n < 1:
         raise InvalidParameterError("grid_n must be >= 1")
     pitch = TWO_PI / grid_n
     dists = []
-    for edge in window:
+    for edge in _finite_window(window):
         rel = edge % pitch
         dists.append(min(rel, pitch - rel))
     return max(dists)
@@ -183,7 +188,8 @@ def population_imbalance(state, *, weight: str = "cosine_squared",
     if weight not in WEIGHT_KINDS:
         raise InvalidParameterError(
             "weight must be one of %s" % (WEIGHT_KINDS,))
-    if not _windows_disjoint(right_window, left_window):
+    if not _windows_disjoint(_finite_window(right_window),
+                             _finite_window(left_window)):
         raise InvalidParameterError("readout windows overlap")
     density, single = _densities(state, grid_n)
     totals = []
@@ -218,7 +224,7 @@ def circular_centroid(state):
     """
     density, single = _densities(state, None)
     n = density.shape[1]
-    phasor = np.exp(1j * (TWO_PI * np.arange(n) / n))
+    phasor = np.exp(1j * _angles(n))
     moments = np.add.reduce(density * phasor, axis=1) * TWO_PI / n
     defined = np.abs(moments) >= 1e-6
     if single and not defined[0]:

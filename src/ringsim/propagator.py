@@ -31,10 +31,8 @@ from .errors import (AttractiveCouplingWarning, ConvergenceError,
                      InvalidParameterError, StepSizeError,
                      _outside_stacklevel, require_finite)
 from .spectrum import DispersionModel, TrapSpec, revival_time
-from .states import (GridState, SpectralState, _fft, _ifft, gaussian_packet,
-                     to_grid)
-
-TWO_PI = 2.0 * np.pi
+from .states import (TWO_PI, GridState, SpectralState, _angles,
+                     _check_grid_size, _fft, _ifft, gaussian_packet, to_grid)
 
 # Largest local phase advance allowed in one local substep (rad).  Above
 # this the splitting error is no longer small and the step must be refused.
@@ -266,11 +264,10 @@ class _SplitStepEngine:
     def __init__(self, model: DispersionModel, grid_n: int,
                  interaction: InteractionSpec | None = None,
                  flux: FluxSpec | None = None):
-        if grid_n < 4 or grid_n & (grid_n - 1):
-            raise InvalidParameterError("grid_n must be a power of two >= 4")
+        _check_grid_size(grid_n, "grid_n")
         self.grid_n = grid_n
         self.mean_field = _MeanField.of(interaction, model.trap)
-        self.angles = TWO_PI * np.arange(grid_n) / grid_n
+        self.angles = _angles(grid_n)
         # integer harmonics of the grid in FFT order
         self.harmonics = np.rint(np.fft.fftfreq(grid_n) * grid_n).astype(int)
         self.energies = model.internal_at(self.harmonics)

@@ -46,16 +46,17 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError,
                      RevivalNotFoundError, require_finite)
-from .observables import (WEIGHT_KINDS, _grid_fidelity, _window_profile,
-                          circular_centroid, density_profile, fidelity,
-                          population_imbalance)
-from .propagator import (BLANES_MOAN, TWO_PI, FluxSpec, InteractionSpec,
-                         _evolved, _MeanField, _SplitStepEngine,
-                         evolve_linear, ground_state_imaginary_time,
-                         local_phase_per_pair, step_count)
+from .observables import (WEIGHT_KINDS, _finite_window, _grid_fidelity,
+                          _window_profile, circular_centroid,
+                          density_profile, fidelity, population_imbalance)
+from .propagator import (BLANES_MOAN, FluxSpec, InteractionSpec, _evolved,
+                         _MeanField, _SplitStepEngine, evolve_linear,
+                         ground_state_imaginary_time, local_phase_per_pair,
+                         step_count)
 from .spectrum import DispersionModel, TrapSpec, revival_time
-from .states import (GridState, SpectralState, _ifft, gaussian_packet,
-                     rotate, to_grid, to_spectral)
+from .states import (_INTEGER, TWO_PI, GridState, SpectralState,
+                     _check_cutoff, _check_grid_size, _synthesize,
+                     gaussian_packet, rotate, to_grid, to_spectral)
 
 SOLVERS = ("linear", "splitstep")
 
@@ -121,9 +122,7 @@ class ImprintSpec:
         if self.profile not in WEIGHT_KINDS:
             raise InvalidParameterError(
                 "profile must be one of %s" % (WEIGHT_KINDS,))
-        lo, hi = self.window
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise InvalidParameterError("window edges must be finite")
+        lo, hi = _finite_window(self.window)
         if (hi - lo) % TWO_PI == 0.0:
             raise InvalidParameterError(
                 "imprint window must be a proper arc, not empty or the "
@@ -202,14 +201,8 @@ class ProtocolSpec:
         if self.solver not in SOLVERS:
             raise InvalidParameterError(
                 "solver must be one of %s" % (SOLVERS,))
-        if self.cutoff < 1:
-            raise InvalidParameterError("cutoff must be >= 1")
-        if self.grid_n < 4 or self.grid_n & (self.grid_n - 1):
-            raise InvalidParameterError("grid_n must be a power of two >= 4")
-        if self.grid_n < 2 * self.cutoff + 2:
-            raise InvalidParameterError(
-                "grid_n must be at least 2 * cutoff + 2 so the grid resolves "
-                "every ladder mode")
+        _check_cutoff(self.cutoff)
+        _check_grid_size(self.grid_n, "grid_n", self.cutoff)
         if self.packet_width is not None and not 0 < self.packet_width < 1:
             raise InvalidParameterError("packet_width must be in (0, 1)")
         if self.dt_factor is not None and self.dt_factor <= 0:
@@ -226,9 +219,10 @@ class ProtocolSpec:
         if self.readout_weight not in WEIGHT_KINDS:
             raise InvalidParameterError(
                 "readout_weight must be one of %s" % (WEIGHT_KINDS,))
-        if self.n_records < 0 or self.n_snapshots < 0:
+        if not all(isinstance(n, _INTEGER) and n >= 0
+                   for n in (self.n_records, self.n_snapshots)):
             raise InvalidParameterError(
-                "n_records and n_snapshots must be >= 0")
+                "n_records and n_snapshots must be integers >= 0")
         if self.solver == "linear" and _MeanField.of(self.interaction,
                                                      self.trap).acts:
             raise ConfigError(
@@ -313,17 +307,16 @@ def _revival_target(spec: ProtocolSpec, psi0: SpectralState):
     never moves, so it is built once, here, and every block of a walk or
     search reads it as a read-only broadcast.
     """
-    slots = psi0.ells % spec.grid_n
     cut = psi0.cutoff
 
     def images(angles: np.ndarray) -> np.ndarray:
-        turn = np.empty((len(angles), len(slots)), dtype=np.complex128)
+        turn = np.empty((len(angles), 2 * cut + 1), dtype=np.complex128)
         turn[:, cut:] = np.exp(-1j * psi0.ells[cut:] *
                                (np.pi + angles)[:, None])
         turn[:, :cut] = np.conj(turn[:, :cut:-1])
-        buf = np.zeros((len(angles), spec.grid_n), dtype=np.complex128)
-        buf[:, slots] = psi0.amplitudes * turn
-        return _ifft(buf) * spec.grid_n / np.sqrt(TWO_PI)
+        # in place, so no product array is held through the inverse FFT
+        np.multiply(psi0.amplitudes, turn, out=turn)
+        return _synthesize(turn, psi0.ells, spec.grid_n)
 
     if spec.flux is None:
         fixed = images(np.zeros(1))[0]

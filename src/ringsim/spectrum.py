@@ -29,6 +29,7 @@ import numpy as np
 from .constants import HBAR
 from .errors import (InvalidParameterError, PerturbationValidityWarning,
                      _outside_stacklevel, require_finite)
+from .states import TWO_PI, _check_cutoff
 
 # Trust region for the tilt formula: second-order perturbation theory in the
 # dimensionless potential amplitude.
@@ -114,7 +115,7 @@ def revival_time(trap: TrapSpec) -> float:
     At this time every phase exp(-i E(ell) t / hbar) of the ideal spectrum
     returns to exp(i pi ell): the packet re-forms on the far side of the ring.
     """
-    return 2.0 * np.pi * trap.time_unit
+    return TWO_PI * trap.time_unit
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +231,7 @@ class DispersionModel:
     energies: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.cutoff < 1:
-            raise InvalidParameterError("cutoff must be a positive integer")
+        _check_cutoff(self.cutoff)
         if self.includes_tilt:
             if self.trap.tilt_internal == 0.0:
                 warnings.warn("tilt correction enabled with zero amplitude",

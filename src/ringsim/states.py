@@ -9,6 +9,14 @@ alpha_j = 2*pi*j/N (`GridState`).  Conventions, fixed once here:
   carry plain unit two-norm for a normalized state
 * rotation by a positive angle displaces density toward positive alpha,
   i.e. applies exp(-i ell angle) to the amplitudes
+
+Every module reads the ring grid through the private names here: `TWO_PI`,
+the cutoff rule (`_check_cutoff`: a positive integer), the grid-size rule
+(`_check_grid_size`: an integer power of two >= 4, and at least 2 L + 2 to
+hold a ladder of cutoff L), the sample angles (`_angles`) and the synthesis
+from ladder to grid (`_synthesize`).  The grid measure 2*pi/N is not among
+them: its sites round in two orders, x * 2*pi / N and (2*pi / N) * x, and
+folding them into one would move every relaxed packet by an ulp.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from .errors import CutoffInsufficientError, InvalidParameterError
 
 TWO_PI = 2.0 * np.pi
+_INTEGER = (int, np.integer)  # the types of a size, a cutoff or a count
 
 
 # The gufuncs and normalisation factors that numpy.fft.fft and ifft reach
@@ -36,6 +45,33 @@ def _ifft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
     return _pocketfft.ifft(values, 1.0 / values.shape[-1], out=out)
+
+
+def _check_cutoff(cutoff) -> None:
+    """Refuse a ladder cutoff that is not a positive integer."""
+    if not isinstance(cutoff, _INTEGER) or cutoff < 1:
+        raise InvalidParameterError("cutoff must be a positive integer")
+
+
+def _check_grid_size(n, name: str = "grid size", cutoff=None) -> None:
+    """Refuse a grid size, called `name`, that is not an integer power of
+    two >= 4 or, given a ladder cutoff L, that is below 2 L + 2."""
+    if not isinstance(n, _INTEGER) or n < 4 or n & (n - 1):
+        raise InvalidParameterError(f"{name} must be a power of two >= 4")
+    if cutoff is not None and n < 2 * cutoff + 2:
+        raise InvalidParameterError(
+            f"cutoff {cutoff} requires {name} >= {2 * cutoff + 2}, got {n}")
+
+
+def _angles(n: int) -> np.ndarray:
+    return TWO_PI * np.arange(n) / n
+
+
+def _synthesize(amplitudes, ells, n: int) -> np.ndarray:
+    """n grid values of ladder amplitudes, one ladder or one per row."""
+    buf = np.zeros(amplitudes.shape[:-1] + (n,), dtype=np.complex128)
+    buf[..., ells % n] = amplitudes
+    return _ifft(buf) * n / np.sqrt(TWO_PI)
 
 
 def _frozen_complex(values) -> np.ndarray:
@@ -89,9 +125,7 @@ class GridState:
 
     def __post_init__(self) -> None:
         arr = _frozen_complex(self.values)
-        n = len(arr)
-        if n < 4 or n & (n - 1):
-            raise InvalidParameterError("grid size must be a power of two >= 4")
+        _check_grid_size(len(arr))
         object.__setattr__(self, "values", arr)
 
     @property
@@ -100,8 +134,7 @@ class GridState:
 
     @property
     def angles(self) -> np.ndarray:
-        n = self.size
-        return TWO_PI * np.arange(n) / n
+        return _angles(self.size)
 
     @property
     def norm(self) -> float:
@@ -127,8 +160,7 @@ def gaussian_packet(center: float, width: float, cutoff: int) -> SpectralState:
     """
     if not 0.0 < width < 1.0:
         raise InvalidParameterError("width must lie in (0, 1) rad")
-    if cutoff < 1:
-        raise InvalidParameterError("cutoff must be a positive integer")
+    _check_cutoff(cutoff)
     if cutoff < 4.0 / width:
         raise CutoffInsufficientError(
             f"cutoff {cutoff} too small for width {width}; need >= {4.0 / width:.1f}")
@@ -144,16 +176,8 @@ def to_grid(state: SpectralState, grid_n: int) -> GridState:
     Requires grid_n >= 2L + 2 (one guard band above the ladder) and a
     power-of-two grid_n.  Exact up to rounding for band-limited states.
     """
-    L = state.cutoff
-    if grid_n < 2 * L + 2:
-        raise InvalidParameterError(
-            f"grid size {grid_n} cannot hold ladder up to |ell| = {L}")
-    if grid_n & (grid_n - 1):
-        raise InvalidParameterError("grid size must be a power of two")
-    buf = np.zeros(grid_n, dtype=np.complex128)
-    buf[state.ells % grid_n] = state.amplitudes
-    values = _ifft(buf) * grid_n / np.sqrt(TWO_PI)
-    return GridState(values)
+    _check_grid_size(grid_n, cutoff=state.cutoff)
+    return GridState(_synthesize(state.amplitudes, state.ells, grid_n))
 
 
 def to_spectral(state: GridState, cutoff: int) -> SpectralState:
@@ -164,11 +188,8 @@ def to_spectral(state: GridState, cutoff: int) -> SpectralState:
     than unit norm for states that are not band-limited.
     """
     n = state.size
-    if cutoff < 1:
-        raise InvalidParameterError("cutoff must be a positive integer")
-    if 2 * cutoff + 2 > n:
-        raise InvalidParameterError(
-            f"cutoff {cutoff} requires grid size >= {2 * cutoff + 2}, got {n}")
+    _check_cutoff(cutoff)
+    _check_grid_size(n, cutoff=cutoff)
     coeff = _fft(state.values) * np.sqrt(TWO_PI) / n
     ells = np.arange(-cutoff, cutoff + 1)
     return SpectralState(coeff[ells % n])

@@ -178,7 +178,8 @@ def test_grid_rows_round_as_one_sum_per_row():
         assert rs.circular_centroid(block).tolist() == centroid
 
 
-_GRID = rs.to_grid(rs.gaussian_packet(0.0, 0.2, 64), 256)
+_PACKET = rs.gaussian_packet(0.0, 0.2, 64)
+_GRID = rs.to_grid(_PACKET, 256)
 _ROWS = np.repeat(_GRID.values[None, :], 3, axis=0)
 
 # each bad input with the message it raises: (message, call)
@@ -193,6 +194,14 @@ _GUARDS = {
     "empty-window": ("window has zero angular extent",
                      lambda: rs.population_imbalance(
                          _GRID, right_window=(0.0, 0.0))),
+    "window-edge-nan": ("window edges must be finite",
+                        lambda: rs.population_imbalance(
+                            _GRID, right_window=(math.nan, 1.0))),
+    "snap-edge-nan": ("window edges must be finite",
+                      lambda: rs.window_snap_distance((math.nan, 1.0), 8)),
+    "imbalance-grid-n-float": ("grid size must be a power of two >= 4",
+                               lambda: rs.population_imbalance(
+                                   _PACKET, grid_n=256.0)),
     "centroid-not-a-state": ("expected a SpectralState or GridState",
                              lambda: rs.circular_centroid("psi")),
     "profile-shapes": ("angles/density shape mismatch",

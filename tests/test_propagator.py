@@ -573,6 +573,9 @@ _GUARDS = {
     "grid-not-power-of-two": ("grid_n must be a power of two >= 4",
                               lambda trap: rs.ground_state_imaginary_time(
                                   trap, grid_n=100)),
+    "grid-float": ("grid_n must be a power of two >= 4",
+                   lambda trap: rs.ground_state_imaginary_time(
+                       trap, grid_n=512.0)),
     "no-step-budget": ("max_steps must be >= 1",
                        lambda trap: rs.ground_state_imaginary_time(
                            trap, grid_n=64, max_steps=0)),

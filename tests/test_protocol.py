@@ -1050,8 +1050,22 @@ _GUARDS = {
     "window-edge-inf": ("window edges must be finite",
                         lambda trap: rs.ImprintSpec(
                             1.0, window=(0.0, math.inf))),
-    "cutoff-zero": ("cutoff must be >= 1",
+    "cutoff-zero": ("cutoff must be a positive integer",
                     lambda trap: rs.ProtocolSpec(trap=trap, cutoff=0)),
+    "cutoff-float": ("cutoff must be a positive integer",
+                     lambda trap: rs.ProtocolSpec(
+                         trap=trap, cutoff=100.5, solver="linear")),
+    "grid-float": ("grid_n must be a power of two >= 4",
+                   lambda trap: rs.ProtocolSpec(trap=trap, grid_n=512.0)),
+    "grid-below-ladder": ("cutoff 128 requires grid_n >= 258, got 256",
+                          lambda trap: rs.ProtocolSpec(trap=trap,
+                                                       grid_n=256)),
+    "records-float": ("n_records and n_snapshots must be integers >= 0",
+                      lambda trap: rs.ProtocolSpec(
+                          trap=trap, n_records=2.0, solver="linear")),
+    "snapshots-float": ("n_records and n_snapshots must be integers >= 0",
+                        lambda trap: rs.ProtocolSpec(
+                            trap=trap, n_snapshots=2.0, solver="linear")),
     "revival-time-negative": ("revival_time_s must be positive",
                               lambda trap: rs.ProtocolSpec(
                                   trap=trap, revival_time_s=-1.0)),

@@ -129,12 +129,20 @@ _GUARDS = {
                    lambda: rs.SpectralState([1.0, math.nan, 0.0])),
     "packet-cutoff": ("cutoff must be a positive integer",
                       lambda: rs.gaussian_packet(0.0, 0.5, 0)),
+    "packet-cutoff-float": ("cutoff must be a positive integer",
+                            lambda: rs.gaussian_packet(0.0, 0.5, 64.0)),
+    "grid-float": ("grid size must be a power of two >= 4",
+                   lambda: rs.to_grid(rs.gaussian_packet(0.0, 0.2, 64),
+                                      256.0)),
     "grid-not-power-of-two": ("grid size must be a power of two",
                               lambda: rs.to_grid(
                                   rs.gaussian_packet(0.0, 0.2, 64), 192)),
     "projection-cutoff": ("cutoff must be a positive integer",
                           lambda: rs.to_spectral(rs.GridState(np.ones(8)),
                                                  0)),
+    "projection-cutoff-float": ("cutoff must be a positive integer",
+                                lambda: rs.to_spectral(
+                                    rs.GridState(np.ones(256)), 64.0)),
     "projection-too-fine": ("cutoff 4 requires grid size >= 10, got 8",
                             lambda: rs.to_spectral(rs.GridState(np.ones(8)),
                                                    4)),
