@@ -181,15 +181,8 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     return 0
 
 
-# the config key behind each sensing function parameter that may be refused
-_SENSE_KEYS = {"resolution": "sense_resolution_rad", "density": "atom_number",
-               "tilt_angle": "sense_tilt_angle_rad",
-               "phase_resolution": "sense_phase_resolution_rad"}
-
-
 def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     trap = build_trap(config)
-    interaction = _interaction(config)
     charge = config.sense_charge_e * ELEMENTARY_CHARGE
     moment = config.sense_magnetic_moment_bohr * BOHR_MAGNETON
     dipole = config.sense_electric_dipole_debye * DEBYE
@@ -206,6 +199,7 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     if resolution is None:
         resolution = trap.sigma_u / trap.radius
     try:
+        interaction = _interaction(config)
         n_peak = peak_density(trap, interaction.atom_number)
         n_mean = mean_density(trap, interaction.atom_number)
         phi_g = gravitational_phase(config.sense_tilt_angle_rad, trap)
@@ -216,7 +210,7 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
     except NotApplicableError as exc:
         raise ConfigError("sense_charge_e = 0: %s" % exc) from None
     except InvalidParameterError as exc:
-        raise _keyed_error(exc, _SENSE_KEYS) from exc
+        raise _keyed_error(exc, config) from exc
 
     rows = []
     print("inputs: B = %g T, E0 = %g V/m, q = %g C, m0 = %g J/T, "

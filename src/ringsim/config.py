@@ -292,17 +292,37 @@ def build_trap(config: ScenarioConfig) -> TrapSpec:
                         tilt_phase=config.tilt_phase_rad,
                         eccentricity=config.eccentricity)
     except InvalidParameterError as exc:
-        # TrapSpec's messages open with its field name; report the key
-        omega = "omega_perp_khz" if config.omega_perp_krad_s is None \
-            else "omega_perp_krad_s"
-        keys = {"omega_perp": omega, "tilt_amplitude": "tilt_v0"}
-        raise _keyed_error(exc, keys) from exc
+        raise _keyed_error(exc, config) from exc
 
 
-def _keyed_error(exc: InvalidParameterError, keys: dict) -> ConfigError:
-    """ConfigError naming exc's parameter (its first word) by its key."""
-    field = str(exc).split()[0]
-    return ConfigError("key %s: %s" % (keys.get(field, field), exc))
+# The config keys behind each parameter, of the trap, the protocol or the
+# sensing functions, whose refusal a config value can cause.
+_KEYS = {
+    "omega_perp": ("omega_perp_krad_s", "omega_perp_khz"),
+    "tilt_amplitude": ("tilt_v0",), "eccentricity": ("eccentricity",),
+    "atom_number": ("atom_number",), "turn_on": ("flux_turn_on_ms",),
+    "window": ("imprint_window_lo_rad", "imprint_window_hi_rad"),
+    "application_time": ("imprint_time_ms",),
+    "duration": ("imprint_duration_ms",), "cutoff": ("cutoff",),
+    "grid_n": ("grid_n",), "packet_width": ("packet_width",),
+    "dt_factor": ("dt_rev_factor",), "revival_time_s": ("revival_time_ms",),
+    "search_window": ("search_lo", "search_hi"),
+    "search_resolution_factor": ("search_resolution_factor",),
+    "resolution": ("sense_resolution_rad",), "density": ("atom_number",),
+    "tilt_angle": ("sense_tilt_angle_rad",),
+    "phase_resolution": ("sense_phase_resolution_rad",),
+}
+
+
+def _keyed_error(exc: InvalidParameterError,
+                 config: ScenarioConfig) -> ConfigError:
+    """ConfigError naming the set config keys of exc's parameter, the
+    first word of its message; unkeyed when that word is no parameter."""
+    keys = _KEYS.get(str(exc).split()[0])
+    if keys is None:
+        return ConfigError(str(exc))
+    return ConfigError("key %s: %s" % (" and ".join(
+        k for k in keys if getattr(config, k) is not None), exc))
 
 
 def _interaction(config: ScenarioConfig) -> InteractionSpec:
@@ -349,4 +369,4 @@ def build_protocol(config: ScenarioConfig,
             readout_weight=config.readout_weight,
             n_records=config.n_records, n_snapshots=n_snapshots)
     except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _keyed_error(exc, config) from exc

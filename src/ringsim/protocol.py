@@ -54,8 +54,8 @@ from .propagator import (BLANES_MOAN, FluxSpec, InteractionSpec, _evolved,
                          ground_state_imaginary_time, local_phase_per_pair,
                          step_count)
 from .spectrum import DispersionModel, TrapSpec, revival_time
-from .states import (_INTEGER, TWO_PI, GridState, SpectralState,
-                     _check_cutoff, _check_grid_size, _synthesize,
+from .states import (TWO_PI, GridState, SpectralState, _check_cutoff,
+                     _check_grid_size, _is_integer, _synthesize,
                      gaussian_packet, rotate, to_grid, to_spectral)
 
 SOLVERS = ("linear", "splitstep")
@@ -125,8 +125,7 @@ class ImprintSpec:
         lo, hi = _finite_window(self.window)
         if (hi - lo) % TWO_PI == 0.0:
             raise InvalidParameterError(
-                "imprint window must be a proper arc, not empty or the "
-                "full ring")
+                "window must be a proper arc, not empty or the full ring")
         if self.duration < 0:
             raise InvalidParameterError("duration must be >= 0")
         if self.application_time is not None and self.application_time < 0:
@@ -219,7 +218,7 @@ class ProtocolSpec:
         if self.readout_weight not in WEIGHT_KINDS:
             raise InvalidParameterError(
                 "readout_weight must be one of %s" % (WEIGHT_KINDS,))
-        if not all(isinstance(n, _INTEGER) and n >= 0
+        if not all(_is_integer(n) and n >= 0
                    for n in (self.n_records, self.n_snapshots)):
             raise InvalidParameterError(
                 "n_records and n_snapshots must be integers >= 0")
@@ -345,9 +344,9 @@ class RevivalSearch:
     SEARCH_CHECKPOINTS segment ends up to half the window's lower edge,
     each a whole number of the search's steps of `dt_factor`, and `states`
     the read-only single-row values at those times.  A linear search keeps
-    none: `dt_factor` is None and both tuples are empty.  `model` is the
-    dispersion the search evolved with, which the walk that follows it
-    reuses.
+    none, nor does a pinned revival time as `_walk` holds it: `dt_factor`
+    is None and both tuples are empty.  `model` is the dispersion the
+    search evolved with (a pinned time's spec's), which the walk reuses.
     """
 
     time_s: float
@@ -384,7 +383,7 @@ def _splitstep_objective(spec: ProtocolSpec, model: DispersionModel):
     psi0_s, psi0_g = _prepare(spec)
     target = _revival_target(spec, psi0_s)
     driver = _SplitStepDriver(spec, psi0_g, model)
-    t_pre = 0.5 * spec.search_window[0] * revival_time(spec.trap)
+    t_pre = 0.5 * _search_times(spec)[0]
     n = step_count(t_pre / driver.time_unit, driver.dt_int)
     times, states = [0.0], [driver.values]
     for k in range(1, SEARCH_CHECKPOINTS + 1):
@@ -606,13 +605,13 @@ class _SplitStepDriver:
             self.values[run] *= np.exp(1j * self.phases[run] * self.profile)
 
 
-def _schedule(spec: ProtocolSpec, t_star: float):
-    """(imprint pulse start, readout time) in s for revival time t_star."""
+def _schedule(spec: ProtocolSpec, t_star: float, offset: float):
+    """(imprint pulse start, readout time) in s at revival time t_star."""
     imp = spec.imprint
     start = 0.5 * t_star if imp.application_time is None \
         else imp.application_time
-    t_imp = start + spec.timing_offset
-    total = t_star + spec.timing_offset + imp.duration
+    t_imp = start + offset
+    total = t_star + offset + imp.duration
     if t_imp < 0:
         raise InvalidParameterError(
             "imprint pulse would start %.3g s before release; raise the "
@@ -642,41 +641,35 @@ def _measure(rows: np.ndarray, times, spec: ProtocolSpec, targets):
                     circular_centroid(rows).tolist()))
 
 
-def _walk(runs):
-    """Step `runs` as one batch to the last readout.
+def _walk(spec: ProtocolSpec, phases, offsets):
+    """Step one batch of runs of `spec` to the last readout.
 
-    The runs share every field of `runs[0]` except the imprint phase and
-    the timing offset; the revival time is resolved once, from `runs[0]`.
-    When the walk searched for it and steps at the search's dt_factor, it
-    resumes from the search's latest checkpoint no later than the first
-    imprint or readout (see `RevivalSearch`); otherwise it walks from
-    release.  A record or snapshot before that checkpoint is measured
+    Row i is `spec` with imprint phase phases[i] and timing offset
+    offsets[i], in place of the spec's own.  The revival time is resolved
+    once, into a `RevivalSearch` whose dispersion is the walk's; the walk
+    resumes from its latest checkpoint no later than the first imprint or
+    readout when it steps at the search's dt_factor, and otherwise walks
+    from release.  A record or snapshot before that checkpoint is measured
     by stepping the nearest earlier checkpoint to its own time.  A resumed
-    or replayed state differs from one walked from release by the
-    re-tiling of its steps at the checkpoint, the O(dt^4) step error.  Each
-    run is imprinted at its pulse start and read out at its readout time;
-    at one instant the imprints act first, then the readouts, records and
-    snapshots.  The `n_records` records and `n_snapshots` snapshots of
-    `runs[0]` are taken evenly from release to its readout; `_scan` passes
-    runs that ask for none.  The walk copies each readout and record row
-    into a block and measures the block when it holds SCAN_BLOCK rows and
-    at the end; a snapshot is measured at once.  The search's dispersion,
-    when it ran, is the walk's.
+    or replayed state differs from one walked from release by the re-tiling
+    of its steps at the checkpoint, the O(dt^4) step error.  At one instant
+    the imprints act first, then the readouts, records and snapshots.  The
+    spec's records and snapshots are taken from row 0, evenly from release
+    to its readout.  Readouts and records are copied into a block that is
+    measured when it holds SCAN_BLOCK rows and at the end; a snapshot is
+    measured at once.
 
     Returns (revival time, dt_factor, measured): `measured` maps "readout"
-    to one (t, fidelity, imbalance, centroid) of `_measure` per run, in the
-    order of `runs`, "record" to one such row per record and "snapshot" to
-    one (t, density profile) per snapshot, both in time order.
+    to one (t, fidelity, imbalance, centroid) of `_measure` per row, in row
+    order, "record" to one such row per record and "snapshot" to one (t,
+    density profile) per snapshot, both in time order.
     """
-    spec = runs[0]
-    store = find_revival_time(spec) if spec.revival_time_s is None else None
-    t_star = spec.revival_time_s if store is None else store.time_s
-    model = spec.dispersion_model() if store is None else store.model
-    schedule = [_schedule(run, t_star) for run in runs]
+    store = find_revival_time(spec) if spec.revival_time_s is None else \
+        RevivalSearch(spec.revival_time_s, model=spec.dispersion_model())
+    schedule = [_schedule(spec, store.time_s, o) for o in offsets]
     psi0_s, psi0_g = _prepare(spec)
     targets = _revival_target(spec, psi0_s)
-    driver = _SplitStepDriver(spec, psi0_g, model,
-                              [run.imprint.phase for run in runs],
+    driver = _SplitStepDriver(spec, psi0_g, store.model, phases,
                               [t_imp for t_imp, _ in schedule])
     end = schedule[0][1]
     times = {"imprint": [t_imp for t_imp, _ in schedule],
@@ -690,7 +683,7 @@ def _walk(runs):
     measured = {kind: [None] * len(times[kind])
                 for kind in ("readout", "record", "snapshot")}
     now, resume = 0.0, None
-    if store is not None and store.dt_factor == driver.dt_factor:
+    if store.dt_factor == driver.dt_factor:
         resume = store.before(min(times["imprint"] + times["readout"]))
     # copies: an instant imprint multiplies one row of the driver in place
     block = np.empty((SCAN_BLOCK, spec.grid_n), dtype=np.complex128)
@@ -727,7 +720,7 @@ def _walk(runs):
                 measure_block()
     if pending:
         measure_block()
-    return t_star, driver.dt_factor, measured
+    return store.time_s, driver.dt_factor, measured
 
 
 def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
@@ -737,13 +730,14 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     the optimized revival time) plus `timing_offset`; readout happens at the
     optimized revival time plus the same offset plus the pulse duration, so
     an offset models a late (or early, if negative) imprint-and-readout
-    pair.  The run is one `_walk` of one run with its records and
+    pair.  The run is one `_walk` of one row with its records and
     snapshots, whose single readout gives the result's time, fidelity,
     imbalance and centroid.  Raises RevivalNotFoundError via the search
     when no revival lies in the window, and InvalidParameterError when the
     pulse would fall outside the run.
     """
-    t_star, dt_factor, measured = _walk([spec])
+    t_star, dt_factor, measured = _walk(spec, [spec.imprint.phase],
+                                        [spec.timing_offset])
     [(total, fid, imbalance, centroid)] = measured["readout"]
     snapshots = measured["snapshot"]
     return ProtocolResult(
@@ -759,14 +753,9 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     )
 
 
-def _scan(spec: ProtocolSpec, values, name: str, vary):
-    """(values, readouts) of the runs `vary(spec, value)`.
-
-    `values` as floats and one (t, fidelity, imbalance, centroid) readout
-    per value, both in the order given, from one walk of all the runs (see
-    `_walk`).  The runs take no records or snapshots: `spec` is stripped of
-    them before `vary`.
-    """
+def _scan(spec: ProtocolSpec, values, name: str):
+    """(spec without records or snapshots, `values` as floats) of a scan;
+    `values` must be a non-empty sequence of finite numbers."""
     try:
         values = [float(v) for v in np.asarray(values, dtype=float)]
     except (TypeError, ValueError):
@@ -776,9 +765,7 @@ def _scan(spec: ProtocolSpec, values, name: str, vary):
         raise InvalidParameterError("%s must not be empty" % name)
     if not all(np.isfinite(values)):
         raise InvalidParameterError("%s must be finite" % name)
-    spec = replace(spec, n_records=0, n_snapshots=0)
-    _, _, measured = _walk([vary(spec, v) for v in values])
-    return values, measured["readout"]
+    return replace(spec, n_records=0, n_snapshots=0), values
 
 
 def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
@@ -797,9 +784,9 @@ def sweep_phase(spec: ProtocolSpec, phases) -> np.ndarray:
     finite pulse with `dt_factor` unset: the batch derives its step from
     its largest pulse rate).  Rows keep the order of `phases`.
     """
-    phases, measured = _scan(spec, phases, "phases", lambda base, p: replace(
-        base, imprint=replace(base.imprint, phase=p)))
-    return np.array([[p, m[2]] for p, m in zip(phases, measured)])
+    spec, phases = _scan(spec, phases, "phases")
+    _, _, measured = _walk(spec, phases, [spec.timing_offset] * len(phases))
+    return np.array([[p, m[2]] for p, m in zip(phases, measured["readout"])])
 
 
 def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
@@ -818,6 +805,7 @@ def timing_sensitivity(spec: ProtocolSpec, offsets) -> np.ndarray:
     steps are taken (a coupling or a pulse) a row differs from its own
     `run_protocol` by the O(dt^4) step error, not by rounding only.
     """
-    offsets, measured = _scan(spec, offsets, "offsets", lambda base, o:
-                              replace(base, timing_offset=o))
-    return np.array([[o, m[1], m[2]] for o, m in zip(offsets, measured)])
+    spec, offsets = _scan(spec, offsets, "offsets")
+    _, _, measured = _walk(spec, [spec.imprint.phase] * len(offsets), offsets)
+    return np.array([[o, m[1], m[2]]
+                     for o, m in zip(offsets, measured["readout"])])

@@ -29,7 +29,11 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from .errors import CutoffInsufficientError, InvalidParameterError
 
 TWO_PI = 2.0 * np.pi
-_INTEGER = (int, np.integer)  # the types of a size, a cutoff or a count
+
+
+def _is_integer(n) -> bool:
+    """Whether n is a size's, cutoff's or count's type: an int, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 # The gufuncs and normalisation factors that numpy.fft.fft and ifft reach
@@ -49,14 +53,14 @@ def _ifft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _check_cutoff(cutoff) -> None:
     """Refuse a ladder cutoff that is not a positive integer."""
-    if not isinstance(cutoff, _INTEGER) or cutoff < 1:
+    if not _is_integer(cutoff) or cutoff < 1:
         raise InvalidParameterError("cutoff must be a positive integer")
 
 
 def _check_grid_size(n, name: str = "grid size", cutoff=None) -> None:
     """Refuse a grid size, called `name`, that is not an integer power of
     two >= 4 or, given a ladder cutoff L, that is below 2 L + 2."""
-    if not isinstance(n, _INTEGER) or n < 4 or n & (n - 1):
+    if not _is_integer(n) or n < 4 or n & (n - 1):
         raise InvalidParameterError(f"{name} must be a power of two >= 4")
     if cutoff is not None and n < 2 * cutoff + 2:
         raise InvalidParameterError(

@@ -432,8 +432,9 @@ def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("change", [
     "sense_resolution_rad = 0", "sense_phase_resolution_rad = -1",
-    "sense_tilt_angle_rad = 2", "atom_number = 0",
-], ids=["resolution", "phase-resolution", "tilt-angle", "no-atoms"])
+    "sense_tilt_angle_rad = 2", "atom_number = 0", "atom_number = -1",
+], ids=["resolution", "phase-resolution", "tilt-angle", "no-atoms",
+        "negative-atoms"])
 def test_sense_names_the_config_key_it_refuses(tmp_path, capsys, change):
     key = change.split()[0]
     lines = [line for line in QUICK.splitlines()

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 import ringsim as rs
+from ringsim.config import _keyed_error
 
 
 MINIMAL = (
@@ -138,7 +139,24 @@ _BAD_VALUES = {
                                    omega_perp_khz="-1")))),
     "negative-tilt": ("tilt_v0", lambda: rs.build_trap(rs.from_text(
         _minimal_text(tilt_v0="-0.01")))),
+    "negative-step": ("dt_rev_factor", lambda: _protocol(dt_rev_factor="-1")),
+    "negative-pulse": ("imprint_duration_ms", lambda: _protocol(
+        imprint_duration_ms="-1")),
+    "imprint-before-release": ("imprint_time_ms", lambda: _protocol(
+        imprint_time_ms="-5")),
+    "negative-revival-time": ("revival_time_ms", lambda: _protocol(
+        revival_time_ms="-1")),
+    "search-window-reversed": ("search_lo", lambda: _protocol(
+        search_lo="1.1")),
+    "full-ring-imprint": ("imprint_window_lo_rad", lambda: _protocol(
+        imprint_window_lo_rad="0", imprint_window_hi_rad=repr(2 * math.pi))),
+    "negative-flux-turn-on": ("flux_turn_on_ms", lambda: _protocol(
+        flux_rotation_rad="0.3", flux_turn_on_ms="-1")),
 }
+
+
+def _protocol(**overrides):
+    return rs.build_protocol(rs.from_text(_minimal_text(**overrides)))
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_VALUES))
@@ -146,6 +164,11 @@ def test_bad_values_fail_naming_their_key(case):
     key, call = _BAD_VALUES[case]
     with pytest.raises(rs.ConfigError, match=key):
         call()
+
+
+def test_a_message_opening_with_no_parameter_names_no_key():
+    exc = rs.InvalidParameterError("imprint pulse would start 1 s early")
+    assert str(_keyed_error(exc, rs.from_defaults())) == str(exc)
 
 
 def test_duplicate_keys_rejected():

@@ -679,6 +679,22 @@ def test_batched_linear_sweep_equals_the_serial_runs(trap, revival_s, case):
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("solver", ["splitstep", "linear"])
+def test_a_sweep_keeps_the_timing_offset_of_its_spec(trap, revival_s, solver):
+    # every row is imprinted and read out at the spec's offset, as its own
+    # run is: bitwise with a coupling, to rounding on the linear solver
+    phases = [0.0, math.pi / 3, 2.0]
+    if solver == "splitstep":
+        spec = _coupled_spec(trap, revival_s, timing_offset=80e-6)
+        np.testing.assert_array_equal(rs.sweep_phase(spec, phases),
+                                      _serial_sweep(spec, phases))
+    else:
+        spec = _linear_spec(trap, timing_offset=-120e-6, n_records=50)
+        np.testing.assert_allclose(rs.sweep_phase(spec, phases),
+                                   _serial_sweep(spec, phases), rtol=0,
+                                   atol=1e-12)
+
+
 @pytest.mark.parametrize("pulsed", [False, True], ids=["instant", "pulse"])
 def test_batched_timing_scan_equals_the_serial_runs(trap, pulsed):
     # rows are imprinted and read out at their own instants; the pulses of
@@ -1066,6 +1082,9 @@ _GUARDS = {
     "snapshots-float": ("n_records and n_snapshots must be integers >= 0",
                         lambda trap: rs.ProtocolSpec(
                             trap=trap, n_snapshots=2.0, solver="linear")),
+    "records-bool": ("n_records and n_snapshots must be integers >= 0",
+                     lambda trap: rs.ProtocolSpec(
+                         trap=trap, n_records=True, solver="linear")),
     "revival-time-negative": ("revival_time_s must be positive",
                               lambda trap: rs.ProtocolSpec(
                                   trap=trap, revival_time_s=-1.0)),

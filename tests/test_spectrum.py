@@ -213,6 +213,8 @@ _GUARDS = {
                             lambda trap: rs.TrapSpec(
                                 mass=trap.mass, radius=trap.radius,
                                 omega_perp=-1.0)),
+    "dispersion-cutoff-bool": ("cutoff must be a positive integer",
+                               lambda trap: rs.DispersionModel(trap, True)),
 }
 
 

@@ -131,6 +131,8 @@ _GUARDS = {
                       lambda: rs.gaussian_packet(0.0, 0.5, 0)),
     "packet-cutoff-float": ("cutoff must be a positive integer",
                             lambda: rs.gaussian_packet(0.0, 0.5, 64.0)),
+    "packet-cutoff-bool": ("cutoff must be a positive integer",
+                           lambda: rs.gaussian_packet(0.0, 0.5, True)),
     "grid-float": ("grid size must be a power of two >= 4",
                    lambda: rs.to_grid(rs.gaussian_packet(0.0, 0.2, 64),
                                       256.0)),
