@@ -159,8 +159,12 @@ def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
 def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     trap = build_trap(config)
     cutoff = config.cutoff
+    try:
+        ideal_si = DispersionModel(trap, cutoff).energies_si
+        interaction = _interaction(config)
+    except InvalidParameterError as exc:
+        raise _keyed_error(exc, config) from exc
     ells = np.arange(-cutoff, cutoff + 1)
-    ideal_si = DispersionModel(trap, cutoff).energies_si
     tilt_si = tilt_shift(trap, ells)
     # report the mode-dependent part only: the transverse zero point is a
     # constant offset that never moves a revival
@@ -174,7 +178,7 @@ def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     si = [ideal_si, tilt_si, centrifugal_si, ellipticity_si, total_si]
     rows = np.column_stack(
         [ells] + si + [e / trap.energy_unit for e in si])
-    header = _header_lines(config, trap, _interaction(config), "spectrum")
+    header = _header_lines(config, trap, interaction, "spectrum")
     path = os.path.join(out_dir, "spectrum.csv")
     _write_csv(path, header, columns, rows)
     print("wrote %s (%d modes)" % (path, len(ells)))

@@ -46,76 +46,56 @@ def _grid_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b) * TWO_PI / len(a)) ** 2)
 
 
-def _grid_rows(values) -> np.ndarray:
-    """`values` as C-ordered (rows, grid_n) complex grid values, checked per
-    row as `GridState` checks its values."""
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    if values.ndim != 2:
-        raise InvalidParameterError(
-            "grid values must be two-dimensional, one state per row")
-    _check_grid_size(values.shape[1])
-    if not np.isfinite(values).all():
-        raise InvalidParameterError("grid values must be finite")
-    return values
+def _grid_rows(state, grid_n: int | None = None, *, arrays: bool = True):
+    """(C-ordered (rows, n) complex grid values, whether `state` was one
+    state).
 
-
-def _densities(state, grid_n: int | None):
-    """(|psi|^2 with one row per state, whether `state` was one state).
-
-    `state` is a SpectralState, a GridState or an array of grid values of
-    shape (rows, grid_n).
+    `state` is a GridState; a SpectralState, synthesized on `grid_n` points
+    or by default on the smallest power of two that holds its ladder; or,
+    unless `arrays` is false, an array of grid values of shape (rows,
+    grid_n), checked per row as `GridState` checks its values.
     """
-    if not isinstance(state, np.ndarray):
-        return np.abs(_as_grid(state, grid_n).values)[None, :] ** 2, True
-    rows = _grid_rows(state)
-    if grid_n is not None and grid_n != rows.shape[1]:
-        raise InvalidParameterError("grid_n does not match the state's grid")
-    return np.abs(rows) ** 2, False
-
-
-def _as_grid(state, grid_n: int | None) -> GridState:
-    if isinstance(state, GridState):
-        if grid_n is not None and grid_n != state.size:
-            raise InvalidParameterError(
-                "grid_n does not match the state's grid")
-        return state
     if isinstance(state, SpectralState):
         if grid_n is None:
             grid_n = 1
             while grid_n < 2 * state.cutoff + 2:
                 grid_n *= 2
-        return to_grid(state, grid_n)
-    raise InvalidParameterError("expected a SpectralState or GridState")
-
-
-def _window_mask(angles: np.ndarray, window) -> np.ndarray:
-    """Boolean mask of grid angles inside the open interval `window`.
-
-    The interval (lo, hi) is taken modulo 2 pi going counterclockwise from
-    lo to hi; endpoints are excluded so a boundary grid point never counts
-    toward both windows of a split pair.
-    """
-    lo, hi = window
-    span = (hi - lo) % TWO_PI
-    if span == 0.0:
-        raise InvalidParameterError("window has zero angular extent")
-    rel = (angles - lo) % TWO_PI
-    return (rel > 0.0) & (rel < span)
+        state = to_grid(state, grid_n)
+    if isinstance(state, GridState):
+        rows, single = state.values[None, :], True
+    elif arrays and isinstance(state, np.ndarray):
+        rows, single = np.ascontiguousarray(state, dtype=np.complex128), False
+        if rows.ndim != 2:
+            raise InvalidParameterError(
+                "grid values must be two-dimensional, one state per row")
+        _check_grid_size(rows.shape[1])
+        if not np.isfinite(rows).all():
+            raise InvalidParameterError("grid values must be finite")
+    else:
+        raise InvalidParameterError("expected a SpectralState or GridState")
+    if grid_n is not None and grid_n != rows.shape[1]:
+        raise InvalidParameterError("grid_n does not match the state's grid")
+    return rows, single
 
 
 def _window_profile(angles, window, kind: str):
-    """(mask, profile) of the open `window` sampled at `angles`.
+    """(mask, profile) of the open arc `window` sampled at `angles`.
 
-    The profile is zero outside the window; inside it is 1 for "uniform"
-    and cos^2(alpha - window center) for "cosine_squared", which vanishes
+    The arc (lo, hi), checked by `_arc`, is taken modulo 2 pi going
+    counterclockwise from lo to hi; endpoints are excluded so a boundary
+    grid point never counts toward both windows of a split pair.  The
+    profile is zero outside the window; inside it is 1 for "uniform" and
+    cos^2(alpha - window center) for "cosine_squared", which vanishes
     smoothly at the edges of a half-ring window.
     """
     angles = np.asarray(angles, dtype=float)
-    mask = _window_mask(angles, window)
+    lo, hi = window
+    span = (hi - lo) % TWO_PI
+    rel = (angles - lo) % TWO_PI
+    mask = (rel > 0.0) & (rel < span)
     if kind == "uniform":
         return mask, mask.astype(float)
-    lo, hi = window
-    center = lo + 0.5 * ((hi - lo) % TWO_PI)
+    center = lo + 0.5 * span
     return mask, np.where(mask, np.cos(angles - center) ** 2, 0.0)
 
 
@@ -133,11 +113,16 @@ def _grid_window(grid_n: int, window: tuple, kind: str):
     return mask, weights
 
 
-def _finite_window(window) -> tuple:
-    """The edges (lo, hi) of `window`, refused unless both are finite."""
+def _arc(window) -> tuple:
+    """The edges (lo, hi) of `window`, refused unless both are finite and
+    the arc counterclockwise from lo to hi is neither empty nor the full
+    ring."""
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidParameterError("window edges must be finite")
+    if (hi - lo) % TWO_PI == 0.0:
+        raise InvalidParameterError(
+            "window must be a proper arc, not empty or the full ring")
     return lo, hi
 
 
@@ -156,13 +141,14 @@ def window_snap_distance(window, grid_n: int) -> float:
     Window edges land between grid points in general; masks effectively snap
     them to the sampled angles.  This reports the worse of the two edge
     offsets so callers can judge (or log) the discretization of a readout
-    window on a `grid_n`-point grid.
+    window on a `grid_n`-point grid.  `grid_n` is a GridState's size, a
+    power of two >= 4, and `window` a proper arc with finite edges, as a
+    readout takes them.
     """
-    if grid_n < 1:
-        raise InvalidParameterError("grid_n must be >= 1")
+    _check_grid_size(grid_n, "grid_n")
     pitch = TWO_PI / grid_n
     dists = []
-    for edge in _finite_window(window):
+    for edge in _arc(window):
         rel = edge % pitch
         dists.append(min(rel, pitch - rel))
     return max(dists)
@@ -188,13 +174,14 @@ def population_imbalance(state, *, weight: str = "cosine_squared",
     if weight not in WEIGHT_KINDS:
         raise InvalidParameterError(
             "weight must be one of %s" % (WEIGHT_KINDS,))
-    if not _windows_disjoint(_finite_window(right_window),
-                             _finite_window(left_window)):
+    right, left = _arc(right_window), _arc(left_window)
+    if not _windows_disjoint(right, left):
         raise InvalidParameterError("readout windows overlap")
-    density, single = _densities(state, grid_n)
+    rows, single = _grid_rows(state, grid_n)
+    density = np.abs(rows) ** 2
     totals = []
-    for window in (right_window, left_window):
-        mask, w = _grid_window(density.shape[1], tuple(window), weight)
+    for window in (right, left):
+        mask, w = _grid_window(density.shape[1], window, weight)
         # an axis-1 sum of a C-ordered block rounds each row as np.sum of
         # that row; density[:, mask] would be F-ordered, and round otherwise
         totals.append(np.add.reduce(density.compress(mask, axis=1) * w,
@@ -222,7 +209,8 @@ def circular_centroid(state):
     row, bitwise that of the row as a GridState, and NaN for a row whose
     moment is too small.
     """
-    density, single = _densities(state, None)
+    rows, single = _grid_rows(state)
+    density = np.abs(rows) ** 2
     n = density.shape[1]
     phasor = np.exp(1j * _angles(n))
     moments = np.add.reduce(density * phasor, axis=1) * TWO_PI / n
@@ -259,6 +247,6 @@ class DensityProfile:
 
 def density_profile(state, grid_n: int | None = None) -> DensityProfile:
     """Angular probability density of a state on a uniform grid."""
-    grid = _as_grid(state, grid_n)
-    return DensityProfile(angles=grid.angles,
-                          density=np.abs(grid.values) ** 2)
+    rows, _ = _grid_rows(state, grid_n, arrays=False)
+    return DensityProfile(angles=_angles(rows.shape[1]),
+                          density=np.abs(rows[0]) ** 2)

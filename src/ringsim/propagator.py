@@ -32,7 +32,8 @@ from .errors import (AttractiveCouplingWarning, ConvergenceError,
                      _outside_stacklevel, require_finite)
 from .spectrum import DispersionModel, TrapSpec, revival_time
 from .states import (TWO_PI, GridState, SpectralState, _angles,
-                     _check_grid_size, _fft, _ifft, gaussian_packet, to_grid)
+                     _check_grid_size, _fft, _ifft, _is_integer,
+                     gaussian_packet, to_grid)
 
 # Largest local phase advance allowed in one local substep (rad).  Above
 # this the splitting error is no longer small and the step must be refused.
@@ -439,14 +440,16 @@ def ground_state_imaginary_time(trap: TrapSpec,
     Convergence is declared when the energy functional drifts by less than
     `tolerance` (internal units) per step, measured over blocks of steps to
     stay above float noise.  Raises ConvergenceError if `max_steps` is
-    exhausted first, or immediately if `tolerance` is not positive (an
-    energy drift can never fall below a non-positive bound).
+    exhausted first, or immediately if `tolerance` is not positive and
+    finite (an energy drift can never fall below a non-positive bound, and
+    always falls below an infinite one after the first block).
     """
-    if not tolerance > 0:
-        raise ConvergenceError("tolerance must be positive: per-step energy "
-                               "drift cannot reach a non-positive bound")
-    if max_steps < 1:
-        raise InvalidParameterError("max_steps must be >= 1")
+    if not 0 < tolerance < math.inf:
+        raise ConvergenceError(
+            "tolerance must be positive and finite: a per-step energy drift "
+            "never reaches a non-positive bound and always an infinite one")
+    if not _is_integer(max_steps) or max_steps < 1:
+        raise InvalidParameterError("max_steps must be an integer >= 1")
     wf = trap.omega_perp if well_frequency is None else well_frequency
     if not 0 < wf < math.inf:
         raise InvalidParameterError("well_frequency must be finite and > 0")
@@ -467,11 +470,11 @@ def ground_state_imaginary_time(trap: TrapSpec,
         todo = min(50, max_steps - steps)
         values = engine.relax(values, dtau, todo, pot)
         e_now = engine.energy(values, pot)
-        if abs(e_now - e_prev) / todo < tolerance:
+        drift = abs(e_now - e_prev) / todo
+        if drift < tolerance:
             return GridState(values)
         e_prev = e_now
     raise ConvergenceError(
         "imaginary-time relaxation did not converge in %d steps "
-        "(last per-step energy drift %.3g)" % (max_steps,
-                                               abs(e_now - e_prev) / todo))
+        "(last per-step energy drift %.3g)" % (max_steps, drift))
 

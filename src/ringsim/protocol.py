@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError,
                      RevivalNotFoundError, require_finite)
-from .observables import (WEIGHT_KINDS, _finite_window, _grid_fidelity,
+from .observables import (WEIGHT_KINDS, _arc, _grid_fidelity,
                           _window_profile, circular_centroid,
                           density_profile, fidelity, population_imbalance)
 from .propagator import (BLANES_MOAN, FluxSpec, InteractionSpec, _evolved,
@@ -122,10 +122,7 @@ class ImprintSpec:
         if self.profile not in WEIGHT_KINDS:
             raise InvalidParameterError(
                 "profile must be one of %s" % (WEIGHT_KINDS,))
-        lo, hi = _finite_window(self.window)
-        if (hi - lo) % TWO_PI == 0.0:
-            raise InvalidParameterError(
-                "window must be a proper arc, not empty or the full ring")
+        _arc(self.window)
         if self.duration < 0:
             raise InvalidParameterError("duration must be >= 0")
         if self.application_time is not None and self.application_time < 0:

@@ -21,6 +21,7 @@ folding them into one would move every relaxed packet by an ulp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,8 @@ def gaussian_packet(center: float, width: float, cutoff: int) -> SpectralState:
     cutoff : ladder cutoff L; must be >= 4/width so the discarded tail is
         below square-amplitude 1e-10 per edge mode
     """
+    if not math.isfinite(center):
+        raise InvalidParameterError("center must be finite")
     if not 0.0 < width < 1.0:
         raise InvalidParameterError("width must lie in (0, 1) rad")
     _check_cutoff(cutoff)
@@ -206,5 +209,7 @@ def rotate(state: SpectralState, angle: float) -> SpectralState:
     `center + angle`.  Rotation by pi is exactly the antipodal map used as
     the revival target.
     """
+    if not math.isfinite(angle):
+        raise InvalidParameterError("angle must be finite")
     amps = state.amplitudes * np.exp(-1j * state.ells * angle)
     return SpectralState(amps)

@@ -405,29 +405,35 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, change", [
-    ("sense", ("atom_number = 20000", "atom_number = -1")),
-    ("spectrum", ("atom_number = 20000", "atom_number = -1")),
-    ("sense", ("", "sense_phase_resolution_rad = 0")),
-    ("sense", ("", "sense_charge_e = 0")),
-    ("revival", ("", "packet_width = 0.02")),
-    ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000")),
-    ("revival", ("", "imprint_time_ms = 500")),
+@pytest.mark.parametrize("command, change, error", [
+    ("sense", ("atom_number = 20000", "atom_number = -1"),
+     "config error: key atom_number: "),
+    ("spectrum", ("atom_number = 20000", "atom_number = -1"),
+     "config error: key atom_number: "),
+    ("spectrum", ("cutoff = 64", "cutoff = 0"), "config error: key cutoff: "),
+    ("sense", ("", "sense_phase_resolution_rad = 0"),
+     "config error: key sense_phase_resolution_rad: "),
+    ("sense", ("", "sense_charge_e = 0"),
+     "config error: sense_charge_e = 0: "),
+    ("revival", ("", "packet_width = 0.02"), "config error:"),
+    ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000"),
+     "config error:"),
+    ("revival", ("", "imprint_time_ms = 500"), "config error:"),
 ], ids=["negative-atom-number", "negative-atom-number-spectrum",
-        "zero-phase-resolution", "neutral-charge",
+        "zero-cutoff-spectrum", "zero-phase-resolution", "neutral-charge",
         "cutoff-too-small-for-the-packet", "pulse-before-release",
         "pulse-after-readout"])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
-                                            change):
+                                            change, error):
     # a value the config parser accepts but the physics layer rejects is
-    # still a configuration problem
+    # still a configuration problem, named by its key where it has one
     old, new = change
     text = QUICK.replace(old, new) if old else QUICK + new + "\n"
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", [

@@ -181,6 +181,7 @@ def test_grid_rows_round_as_one_sum_per_row():
 _PACKET = rs.gaussian_packet(0.0, 0.2, 64)
 _GRID = rs.to_grid(_PACKET, 256)
 _ROWS = np.repeat(_GRID.values[None, :], 3, axis=0)
+_NOT_AN_ARC = "window must be a proper arc, not empty or the full ring"
 
 # each bad input with the message it raises: (message, call)
 _GUARDS = {
@@ -191,14 +192,24 @@ _GUARDS = {
                        lambda: rs.density_profile(_GRID, grid_n=512)),
     "profile-not-a-state": ("expected a SpectralState or GridState",
                             lambda: rs.density_profile("psi")),
-    "empty-window": ("window has zero angular extent",
-                     lambda: rs.population_imbalance(
-                         _GRID, right_window=(0.0, 0.0))),
+    "empty-window": (_NOT_AN_ARC, lambda: rs.population_imbalance(
+        _GRID, right_window=(0.0, 0.0))),
+    "full-ring-window": (_NOT_AN_ARC, lambda: rs.population_imbalance(
+        _GRID, right_window=(-math.pi, math.pi),
+        left_window=(math.pi, 2.0 * math.pi))),
     "window-edge-nan": ("window edges must be finite",
                         lambda: rs.population_imbalance(
                             _GRID, right_window=(math.nan, 1.0))),
     "snap-edge-nan": ("window edges must be finite",
                       lambda: rs.window_snap_distance((math.nan, 1.0), 8)),
+    "snap-full-ring": (_NOT_AN_ARC, lambda: rs.window_snap_distance(
+        (0.0, 2.0 * math.pi), 8)),
+    "snap-grid-bool": ("grid_n must be a power of two >= 4",
+                       lambda: rs.window_snap_distance((0.0, 1.0), True)),
+    "snap-grid-float": ("grid_n must be a power of two >= 4",
+                        lambda: rs.window_snap_distance((0.0, 1.0), 100.5)),
+    "snap-grid-three": ("grid_n must be a power of two >= 4",
+                        lambda: rs.window_snap_distance((0.0, 1.0), 3)),
     "imbalance-grid-n-float": ("grid size must be a power of two >= 4",
                                lambda: rs.population_imbalance(
                                    _PACKET, grid_n=256.0)),

@@ -508,6 +508,9 @@ _NON_FINITE_ARGUMENTS = {
     "tolerance-nan": (rs.ConvergenceError, "tolerance", lambda trap: (
         rs.ground_state_imaginary_time(trap, grid_n=64, tolerance=math.nan,
                                        max_steps=100))),
+    "tolerance-inf": (rs.ConvergenceError, "tolerance", lambda trap: (
+        rs.ground_state_imaginary_time(trap, grid_n=64, tolerance=math.inf,
+                                       max_steps=100))),
     "well-frequency-nan": (rs.InvalidParameterError, "well_frequency",
                            lambda trap: rs.ground_state_imaginary_time(
                                trap, grid_n=64, well_frequency=math.nan)),
@@ -560,10 +563,13 @@ def test_ground_state_convergence_guards(trap):
         rs.ground_state_imaginary_time(trap, grid_n=128,
                                        well_frequency=trap.omega_perp,
                                        tolerance=0.0)
-    with pytest.raises(rs.ConvergenceError):
+    with pytest.raises(rs.ConvergenceError) as exhausted:
         rs.ground_state_imaginary_time(trap, grid_n=128,
                                        well_frequency=trap.omega_perp,
                                        max_steps=60)
+    # the drift of the last block, not of a block against itself
+    drift = re.search(r"energy drift (\S+)\)", str(exhausted.value))
+    assert float(drift.group(1)) > 0
 
 
 # each bad input with the message it raises: (message, call)
@@ -576,9 +582,15 @@ _GUARDS = {
     "grid-float": ("grid_n must be a power of two >= 4",
                    lambda trap: rs.ground_state_imaginary_time(
                        trap, grid_n=512.0)),
-    "no-step-budget": ("max_steps must be >= 1",
+    "no-step-budget": ("max_steps must be an integer >= 1",
                        lambda trap: rs.ground_state_imaginary_time(
                            trap, grid_n=64, max_steps=0)),
+    "budget-float": ("max_steps must be an integer >= 1",
+                     lambda trap: rs.ground_state_imaginary_time(
+                         trap, grid_n=64, max_steps=2.5)),
+    "budget-bool": ("max_steps must be an integer >= 1",
+                    lambda trap: rs.ground_state_imaginary_time(
+                        trap, grid_n=64, max_steps=True)),
 }
 
 

@@ -127,6 +127,12 @@ _GUARDS = {
                         lambda: rs.SpectralState(np.ones((3, 3)))),
     "non-finite": ("state amplitudes must be finite",
                    lambda: rs.SpectralState([1.0, math.nan, 0.0])),
+    "packet-center-nan": ("center must be finite",
+                          lambda: rs.gaussian_packet(math.nan, 0.3, 64)),
+    "packet-center-inf": ("center must be finite",
+                          lambda: rs.gaussian_packet(math.inf, 0.3, 64)),
+    "rotation-nan": ("angle must be finite", lambda: rs.rotate(
+        rs.gaussian_packet(0.0, 0.3, 64), math.nan)),
     "packet-cutoff": ("cutoff must be a positive integer",
                       lambda: rs.gaussian_packet(0.0, 0.5, 0)),
     "packet-cutoff-float": ("cutoff must be a positive integer",
