@@ -305,6 +305,8 @@ _KEYS = {
     "application_time": ("imprint_time_ms",),
     "duration": ("imprint_duration_ms",), "cutoff": ("cutoff",),
     "grid_n": ("grid_n",), "packet_width": ("packet_width",),
+    "packet": ("packet_width", "cutoff"),
+    "packet_center": ("packet_center_rad",),
     "dt_factor": ("dt_rev_factor",), "revival_time_s": ("revival_time_ms",),
     "search_window": ("search_lo", "search_hi"),
     "search_resolution_factor": ("search_resolution_factor",),

@@ -113,11 +113,21 @@ def _grid_window(grid_n: int, window: tuple, kind: str):
     return mask, weights
 
 
+def _pair(edges, name: str) -> tuple:
+    """(lo, hi) of `edges`, refused by `name` unless it holds exactly two."""
+    try:
+        lo, hi = edges
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"{name} must be a pair of edges (lo, hi)") from None
+    return lo, hi
+
+
 def _arc(window) -> tuple:
-    """The edges (lo, hi) of `window`, refused unless both are finite and
-    the arc counterclockwise from lo to hi is neither empty nor the full
-    ring."""
-    lo, hi = window
+    """The edges (lo, hi) of `window`, refused unless it is a pair of finite
+    edges and the arc counterclockwise from lo to hi is neither empty nor
+    the full ring."""
+    lo, hi = _pair(window, "window")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidParameterError("window edges must be finite")
     if (hi - lo) % TWO_PI == 0.0:

@@ -8,14 +8,14 @@ accumulated gauge-flux angle; a constant flux rotates every revival by
 
 The protocol drives one engine on the angular grid, with the dispersion
 evaluated on the full grid ladder.  Its real-time loop takes split FFT
-steps of a given scheme (Strang, or the fourth-order Blanes-Moan
-composition the protocol steps with) where a mean-field coupling or a
-potential acts, and one exact kinetic step across an interval with
-neither; its imaginary-time loop relaxes to the mean-field ground state in
-an angular well, which is how the interference protocol prepares its
-initial packet.  Both loops step in place through one local-term routine,
-and the engine keeps the last real-time kinetic factor for the next
-interval of equal step.
+steps of the scheme it is built with (Strang, or the fourth-order
+Blanes-Moan composition the protocol steps with) where a mean-field
+coupling or a potential acts, and one exact kinetic step across an
+interval with neither; its imaginary-time loop relaxes to the mean-field
+ground state in an angular well, which is how the interference protocol
+prepares its initial packet.  Both loops step in place through one
+local-term routine, and the engine keeps the last real-time kinetic factor
+for the next interval of equal step.
 """
 
 from __future__ import annotations
@@ -52,32 +52,11 @@ BLANES_MOAN = ((_A1, _A2, _A3, 1.0 - 2.0 * (_A1 + _A2 + _A3), _A3, _A2, _A1),
                (_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1))
 
 
-def fused_local_coefficients(scheme) -> tuple:
-    """Local coefficients of a scheme's substeps between two FFT pairs.
-
-    Entry k is the coefficient before kinetic substep k of a step; entry 0
-    fuses the closing local substep of the step before with the opening one.
-    """
-    local, kinetic = scheme
-    return (local[-1] + local[0],) + tuple(local[1:len(kinetic)])
-
-
 def step_count(duration: float, dt: float) -> int:
     """The fewest equal steps, at least one, that tile `duration` with none
     longer than `dt`.  A duration of n dt, whose quotient may round to just
     above n, takes n steps."""
     return max(1, math.ceil(duration / dt * (1.0 - 1e-12)))
-
-
-def local_phase_per_pair(scheme) -> float:
-    """Largest fused local phase of `scheme` in units of h / m.
-
-    m = len(kinetic) FFT pairs make one step h, so at equal cost per FFT
-    pair the peak local phase of a substep is this times the peak local
-    rate times the mean time per pair, h / m.  Strang's is 1.
-    """
-    fused = fused_local_coefficients(scheme)
-    return len(scheme[1]) * max(abs(c) for c in fused)
 
 
 @dataclass(frozen=True)
@@ -247,11 +226,14 @@ class _SplitStepEngine:
     harmonic ladder and V an arbitrary time-dependent angular potential.
     Two loops step a copy of the caller's values in place, alternating
     local substeps, with the local term V + g |psi|^2 from `mean_field`,
-    and kinetic substeps: `propagate` in real time, in the steps of a
-    splitting scheme (STRANG by default), where the kinetic phase also
-    carries the gauge-flux term linear in ell, and `relax` in imaginary
-    time, in Strang steps, which builds its real kinetic factor once per
-    call.  `kinetic_phase` keeps the last two real-time factors used: the
+    and kinetic substeps: `propagate` in real time, in steps of the scheme
+    the engine is built with (STRANG by default), where the kinetic phase
+    also carries the gauge-flux term linear in ell, and `relax` in
+    imaginary time, in Strang steps whatever the scheme, which builds its
+    real kinetic factor once per call.  A step takes `pairs_per_step` FFT
+    pairs; `phase_per_pair` is the largest fused local phase of a substep
+    per unit local rate and mean time per pair (Strang's is 1).
+    `kinetic_phase` keeps the last two real-time factors used: the
     exact kinetic steps between records take a few distinct durations,
     since equally spaced times round to unequal gaps, and most gaps repeat
     one of the last two.
@@ -264,9 +246,17 @@ class _SplitStepEngine:
 
     def __init__(self, model: DispersionModel, grid_n: int,
                  interaction: InteractionSpec | None = None,
-                 flux: FluxSpec | None = None):
+                 flux: FluxSpec | None = None, scheme=STRANG):
         _check_grid_size(grid_n, "grid_n")
         self.grid_n = grid_n
+        local, self.kinetic = scheme
+        m = self.pairs_per_step = len(self.kinetic)
+        # the local coefficient before each kinetic substep of a step, the
+        # first fused with the closing one of the step before
+        self.opening, self.closing = local[0], local[-1]
+        self.fused = (local[-1] + local[0],) + tuple(local[1:m])
+        self.fused_peak = max(abs(c) for c in self.fused)
+        self.phase_per_pair = m * self.fused_peak
         self.mean_field = _MeanField.of(interaction, model.trap)
         self.angles = _angles(grid_n)
         # integer harmonics of the grid in FFT order
@@ -300,9 +290,9 @@ class _SplitStepEngine:
                 "the pulse) in a protocol run" % (peak, LOCAL_PHASE_LIMIT))
 
     def propagate(self, values: np.ndarray, duration: float, dt: float,
-                  potential=None, flux_on: bool = True,
-                  scheme=STRANG) -> np.ndarray:
-        """Step across `duration` (internal units) in equal steps of `scheme`.
+                  potential=None, flux_on: bool = True) -> np.ndarray:
+        """Step across `duration` (internal units) in equal steps of the
+        engine's scheme.
 
         The steps tile the interval exactly, as the fewest equal steps no
         longer than dt (`step_count`), so the guard's phase at dt bounds
@@ -324,15 +314,14 @@ class _SplitStepEngine:
         if not self.mean_field.acts and potential is None:
             return _ifft(self.kinetic_phase(duration, flux_on) *
                          _fft(values))
-        opening, closing = scheme[0][0], scheme[0][-1]
-        fused = fused_local_coefficients(scheme)
-        m = len(fused)
+        opening, closing, fused = self.opening, self.closing, self.fused
+        m = self.pairs_per_step
         n = step_count(duration, dt)
         h = duration / n
-        guard = max(abs(c) for c in fused) * h
+        guard = self.fused_peak * h
         factors = {c: self.kinetic_phase(c * h, flux_on)
-                   for c in dict.fromkeys(scheme[1])}
-        kinetic = [factors[c] for c in scheme[1]]
+                   for c in dict.fromkeys(self.kinetic)}
+        kinetic = [factors[c] for c in self.kinetic]
         values = values.copy()
         spectrum = np.empty_like(values)
         phase = np.empty_like(values)
@@ -359,7 +348,8 @@ class _SplitStepEngine:
 
     def relax(self, values: np.ndarray, dtau: float, steps: int,
               potential=None) -> np.ndarray:
-        """Take `steps` normalised imaginary-time Strang steps of `dtau`.
+        """Take `steps` normalised imaginary-time Strang steps of `dtau`,
+        whatever the engine's scheme.
 
         The factors exp(-dtau/2 (V + g n)) and exp(-dtau E) are real, and
         every step ends at unit norm (measure 2 pi / grid_n).  The density
@@ -461,9 +451,12 @@ def ground_state_imaginary_time(trap: TrapSpec,
                               interaction)
     pot = 0.5 * wf_int ** 2 * _wrapped_angle(engine.angles, well_center) ** 2
 
-    guess = gaussian_packet(well_center, min(1.0 / np.sqrt(wf_int), 0.5),
-                            cutoff=grid_n // 2 - 1)
-    values = to_grid(guess, grid_n).values
+    # the start guess, widened where the grid's ladder is too short for it
+    # (4 / L passes the packet rule at every L = grid_n / 2 - 1)
+    cutoff = grid_n // 2 - 1
+    width = max(min(1.0 / np.sqrt(wf_int), 0.5), 4.0 / cutoff)
+    values = to_grid(gaussian_packet(well_center, width, cutoff),
+                     grid_n).values
 
     e_prev = engine.energy(values, pot)
     for steps in range(0, max_steps, 50):

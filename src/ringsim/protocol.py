@@ -46,17 +46,18 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError,
                      RevivalNotFoundError, require_finite)
-from .observables import (WEIGHT_KINDS, _arc, _grid_fidelity,
-                          _window_profile, circular_centroid,
-                          density_profile, fidelity, population_imbalance)
+from .observables import (WEIGHT_KINDS, _arc, _grid_fidelity, _pair,
+                          _window_profile, _windows_disjoint,
+                          circular_centroid, density_profile, fidelity,
+                          population_imbalance)
 from .propagator import (BLANES_MOAN, FluxSpec, InteractionSpec, _evolved,
                          _MeanField, _SplitStepEngine, evolve_linear,
-                         ground_state_imaginary_time, local_phase_per_pair,
-                         step_count)
+                         ground_state_imaginary_time, step_count)
 from .spectrum import DispersionModel, TrapSpec, revival_time
 from .states import (TWO_PI, GridState, SpectralState, _check_cutoff,
-                     _check_grid_size, _is_integer, _synthesize,
-                     gaussian_packet, rotate, to_grid, to_spectral)
+                     _check_grid_size, _check_packet_cutoff, _is_integer,
+                     _synthesize, gaussian_packet, rotate, to_grid,
+                     to_spectral)
 
 SOLVERS = ("linear", "splitstep")
 
@@ -140,7 +141,10 @@ class ProtocolSpec:
     The initial packet is localized at `packet_center` with spectral width
     parameter `packet_width` (amplitudes ~ exp(-(ell * width)^2 / 4), i.e.
     angular density std width/2); None selects the ground-state width of the
-    transverse-frequency angular well, sqrt(2) * sigma_u / R.  The "linear"
+    transverse-frequency angular well, sqrt(2) * sigma_u / R.  With either
+    solver the readout ladder must hold that packet, `cutoff` >= 4 / width
+    (`states.gaussian_packet`), and `packet_center` must leave the two
+    `readout_windows` proper, disjoint arcs in floating point.  The "linear"
     solver starts from that Gaussian packet, finds the revival from the
     analytic spectral objective and requires zero mean-field coupling;
     "splitstep" prepares the packet by imaginary-time relaxation in the
@@ -194,6 +198,14 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         require_finite(self, "packet_center", "dt_factor", "revival_time_s",
                        "search_resolution_factor", "timing_offset")
+        try:
+            disjoint = _windows_disjoint(*map(_arc, self.readout_windows))
+        except InvalidParameterError:
+            disjoint = False
+        if not disjoint:
+            raise InvalidParameterError(
+                "packet_center %g is too far from 0 to place two disjoint "
+                "half-ring readout windows around it" % self.packet_center)
         if self.solver not in SOLVERS:
             raise InvalidParameterError(
                 "solver must be one of %s" % (SOLVERS,))
@@ -201,11 +213,12 @@ class ProtocolSpec:
         _check_grid_size(self.grid_n, "grid_n", self.cutoff)
         if self.packet_width is not None and not 0 < self.packet_width < 1:
             raise InvalidParameterError("packet_width must be in (0, 1)")
+        _check_packet_cutoff(self.effective_packet_width, self.cutoff)
         if self.dt_factor is not None and self.dt_factor <= 0:
             raise InvalidParameterError("dt_factor must be positive")
         if self.revival_time_s is not None and self.revival_time_s <= 0:
             raise InvalidParameterError("revival_time_s must be positive")
-        lo, hi = self.search_window
+        lo, hi = _pair(self.search_window, "search_window")
         if not (0 < lo < hi and math.isfinite(hi)):
             raise InvalidParameterError(
                 "search_window must be finite with 0 < low < high")
@@ -224,6 +237,14 @@ class ProtocolSpec:
             raise ConfigError(
                 "the linear solver cannot represent a mean-field coupling; "
                 "use solver='splitstep' or zero the interaction")
+
+    @property
+    def readout_windows(self) -> tuple:
+        """(right, left): the half ring centered on the packet and the one
+        centered on its antipode, the windows of the readout imbalance."""
+        center = self.packet_center
+        return ((center - 0.5 * np.pi, center + 0.5 * np.pi),
+                (center + 0.5 * np.pi, center + 1.5 * np.pi))
 
     @property
     def effective_packet_width(self) -> float:
@@ -534,20 +555,18 @@ class _SplitStepDriver:
     potential acts exactly over its window and the flux from its onset.
 
     The kinetic energies are those of `model`, the run's dispersion.
-    Every interval with a coupling or a pulse takes steps of `scheme`, of
+    Every interval with a coupling or a pulse takes BLANES_MOAN steps, of
     `dt_factor` times the ideal period per FFT pair.  `dt_factor` is the
     spec's, or when that is unset the one derived from the peak local phase
     rate of the prepared packet and of the batch's pulse (see
     `ProtocolSpec`).
     """
 
-    scheme = BLANES_MOAN
-
     def __init__(self, spec: ProtocolSpec, psi0_grid: GridState,
                  model: DispersionModel, phases=(0.0,), starts=(math.inf,)):
         self.time_unit = spec.trap.time_unit
         self.engine = _SplitStepEngine(model, spec.grid_n, spec.interaction,
-                                       spec.flux)
+                                       spec.flux, BLANES_MOAN)
         self.turn_on = 0.0 if spec.flux is None else spec.flux.turn_on
         self.duration = spec.imprint.duration
         self.profile = spec.imprint.profile_values(self.engine.angles)
@@ -568,9 +587,9 @@ class _SplitStepDriver:
             self.dt_factor = DT_FACTOR_CAP
             if peak > 0:
                 self.dt_factor = min(DT_FACTOR_CAP, STEP_PHASE_TARGET / (
-                    TWO_PI * peak * local_phase_per_pair(self.scheme)))
+                    TWO_PI * peak * self.engine.phase_per_pair))
         # one step of the scheme: one dt_factor per FFT pair
-        self.dt_int = self.dt_factor * TWO_PI * len(self.scheme[1])
+        self.dt_int = self.dt_factor * TWO_PI * self.engine.pairs_per_step
         self.values = psi0_grid.values[None, :].copy()
 
     def _pulse(self, a: float, b: float):
@@ -593,7 +612,7 @@ class _SplitStepDriver:
         for a, b in zip(cuts[:-1], cuts[1:]):
             self.values = self.engine.propagate(
                 self.values, (b - a) / self.time_unit, self.dt_int,
-                self._pulse(a, b), a >= self.turn_on, self.scheme)
+                self._pulse(a, b), a >= self.turn_on)
 
     def imprint(self, run: int) -> None:
         if len(self.values) < len(self.phases):
@@ -627,11 +646,9 @@ def _measure(rows: np.ndarray, times, spec: ProtocolSpec, targets):
     walk's `_revival_target`.  Each value is bitwise that of the public
     observable on the row as one GridState, with NaN where that raises.
     """
-    center = spec.packet_center
-    imbalance = population_imbalance(
-        rows, weight=spec.readout_weight,
-        right_window=(center - 0.5 * np.pi, center + 0.5 * np.pi),
-        left_window=(center + 0.5 * np.pi, center + 1.5 * np.pi))
+    right, left = spec.readout_windows
+    imbalance = population_imbalance(rows, weight=spec.readout_weight,
+                                     right_window=right, left_window=left)
     # a list, so the targets are freed before the centroid's temporaries
     fidelities = list(map(_grid_fidelity, targets(times), rows))
     return list(zip(times, fidelities, imbalance.tolist(),

@@ -11,7 +11,8 @@ alpha_j = 2*pi*j/N (`GridState`).  Conventions, fixed once here:
   i.e. applies exp(-i ell angle) to the amplitudes
 
 Every module reads the ring grid through the private names here: `TWO_PI`,
-the cutoff rule (`_check_cutoff`: a positive integer), the grid-size rule
+the cutoff rule (`_check_cutoff`: a positive integer), the packet rule
+(`_check_packet_cutoff`: L >= 4 / width), the grid-size rule
 (`_check_grid_size`: an integer power of two >= 4, and at least 2 L + 2 to
 hold a ladder of cutoff L), the sample angles (`_angles`) and the synthesis
 from ladder to grid (`_synthesize`).  The grid measure 2*pi/N is not among
@@ -56,6 +57,14 @@ def _check_cutoff(cutoff) -> None:
     """Refuse a ladder cutoff that is not a positive integer."""
     if not _is_integer(cutoff) or cutoff < 1:
         raise InvalidParameterError("cutoff must be a positive integer")
+
+
+def _check_packet_cutoff(width: float, cutoff: int) -> None:
+    """Refuse a ladder cutoff L below 4 / width for a Gaussian packet."""
+    if cutoff < 4.0 / width:
+        raise CutoffInsufficientError(
+            f"packet width {width} needs cutoff >= {4.0 / width:.1f}, "
+            f"got {cutoff}")
 
 
 def _check_grid_size(n, name: str = "grid size", cutoff=None) -> None:
@@ -160,17 +169,17 @@ def gaussian_packet(center: float, width: float, cutoff: int) -> SpectralState:
     ----------
     center : packet position (rad)
     width : angular width, 0 < width < 1
-    cutoff : ladder cutoff L; must be >= 4/width so the discarded tail is
-        below square-amplitude 1e-10 per edge mode
+    cutoff : ladder cutoff L; must be >= 4/width, where the discarded
+        tail holds about 6e-5 of the norm or less (3.0e-5, 5.7e-5 and
+        6.1e-5 at L = ceil(4/width) for widths 0.121, 0.05 and 0.02) and an
+        edge mode's |c_L|^2 is about 1e-5 or less
     """
     if not math.isfinite(center):
         raise InvalidParameterError("center must be finite")
     if not 0.0 < width < 1.0:
         raise InvalidParameterError("width must lie in (0, 1) rad")
     _check_cutoff(cutoff)
-    if cutoff < 4.0 / width:
-        raise CutoffInsufficientError(
-            f"cutoff {cutoff} too small for width {width}; need >= {4.0 / width:.1f}")
+    _check_packet_cutoff(width, cutoff)
     ells = np.arange(-cutoff, cutoff + 1)
     amps = np.exp(-0.25 * (ells * width) ** 2 - 1j * ells * center)
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2))

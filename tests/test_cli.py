@@ -419,10 +419,18 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
     ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000"),
      "config error:"),
     ("revival", ("", "imprint_time_ms = 500"), "config error:"),
+    # the packet rule names both keys, or the cutoff alone when the width
+    # is derived; a split-step run is refused before it relaxes
+    ("revival", ("solver = linear", "solver = splitstep\npacket_width = 0.05"),
+     "config error: key packet_width and cutoff: "),
+    ("revival", ("cutoff = 64", "cutoff = 16"), "config error: key cutoff: "),
+    ("revival", ("", "packet_center_rad = 1e300"),
+     "config error: key packet_center_rad: "),
 ], ids=["negative-atom-number", "negative-atom-number-spectrum",
         "zero-cutoff-spectrum", "zero-phase-resolution", "neutral-charge",
         "cutoff-too-small-for-the-packet", "pulse-before-release",
-        "pulse-after-readout"])
+        "pulse-after-readout", "splitstep-packet-beyond-the-ladder",
+        "cutoff-below-the-derived-packet", "packet-center-beyond-the-readout"])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
                                             change, error):
     # a value the config parser accepts but the physics layer rejects is

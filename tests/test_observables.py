@@ -197,6 +197,11 @@ _GUARDS = {
     "full-ring-window": (_NOT_AN_ARC, lambda: rs.population_imbalance(
         _GRID, right_window=(-math.pi, math.pi),
         left_window=(math.pi, 2.0 * math.pi))),
+    "window-one-edge": ("window must be a pair of edges",
+                        lambda: rs.population_imbalance(
+                            _GRID, right_window=(0.0,))),
+    "snap-window-scalar": ("window must be a pair of edges",
+                           lambda: rs.window_snap_distance(1.0, 8)),
     "window-edge-nan": ("window edges must be finite",
                         lambda: rs.population_imbalance(
                             _GRID, right_window=(math.nan, 1.0))),

@@ -73,3 +73,14 @@ def test_curve_oracle_is_converged_in_modes_and_samples():
     fine = oracles.ellipse_curve_shift(ELLS)
     coarse = oracles.ellipse_curve_shift(ELLS, modes=65, samples=2048)
     np.testing.assert_allclose(coarse, fine, rtol=1e-9)
+
+
+def test_rk4ip_oracle_is_exact_without_a_local_term():
+    # with g = 0 every stage vanishes and a step is two kinetic half steps
+    n = 64
+    angles = 2.0 * np.pi * np.arange(n) / n
+    values = np.exp(np.cos(angles) + 1j * np.sin(2.0 * angles))
+    energies = 0.5 * np.fft.fftfreq(n, 1.0 / n) ** 2
+    exact = np.fft.ifft(np.exp(-1j * 0.7 * energies) * np.fft.fft(values))
+    evolved = oracles.rk4ip(values, energies, 0.0, 0.7, 50)
+    assert np.max(np.abs(evolved - exact)) < 1e-12

@@ -8,8 +8,10 @@ import pytest
 
 import ringsim as rs
 from ringsim.propagator import (BLANES_MOAN, LOCAL_PHASE_LIMIT, STRANG,
-                                _SplitStepEngine, fused_local_coefficients,
-                                step_count)
+                                _SplitStepEngine, step_count)
+from ringsim.protocol import _prepare, _SplitStepDriver
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -215,20 +217,27 @@ def test_the_kinetic_cache_keeps_the_last_two_factors(trap):
     assert engine.kinetic_phase(short, flux_on=False) is not unflux
 
 
-def _coupled(trap, grid_n):
+def _coupled(trap, grid_n, scheme=STRANG):
     inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
                                atom_number=2e4)
     flux = rs.FluxSpec(action=0.37 * rs.HBAR)
     engine = _SplitStepEngine(rs.DispersionModel(trap, 100), grid_n, inter,
-                              flux)
+                              flux, scheme)
     values = rs.to_grid(rs.gaussian_packet(0.3, 0.3, 100), grid_n).values
     return engine, values
 
 
 @pytest.fixture(scope="module")
 def coupled_engine(trap):
-    """Engine with the mean-field coupling and a flux, and a start state."""
+    """Strang engine with the mean-field coupling and a flux, and a start
+    state."""
     return _coupled(trap, 256)
+
+
+@pytest.fixture(scope="module")
+def blanes_moan_engine(trap):
+    """The coupled engine and start state, stepping in BLANES_MOAN steps."""
+    return _coupled(trap, 256, BLANES_MOAN)
 
 
 def _strang_step(engine, values, h, potential, flux_on):
@@ -338,53 +347,129 @@ def _explicit_step(engine, values, h, potential, scheme):
 @pytest.mark.parametrize("with_potential", [False, True],
                          ids=["free", "potential"])
 @pytest.mark.parametrize("n", [1, 2, 200])
-def test_fused_blanes_moan_steps_equal_explicit_steps(coupled_engine, n,
+def test_fused_blanes_moan_steps_equal_explicit_steps(blanes_moan_engine, n,
                                                       with_potential):
-    engine, values = coupled_engine
+    engine, values = blanes_moan_engine
     potential = 30.0 * np.cos(engine.angles) if with_potential else None
     h = 6 * 2e-5 * 2.0 * math.pi
     stepped = values
     for _ in range(n):
         stepped = _explicit_step(engine, stepped, h, potential, BLANES_MOAN)
-    fused = engine.propagate(values, n * h, h, potential, True, BLANES_MOAN)
+    fused = engine.propagate(values, n * h, h, potential)
     assert np.max(np.abs(fused - stepped)) < 1e-12
 
 
-def test_blanes_moan_is_fourth_order(coupled_engine):
+def test_blanes_moan_is_fourth_order(blanes_moan_engine, coupled_engine):
     # against a step 40 times finer, halving the step cuts the error 16
-    # fold; at equal FFT pairs (a Strang step of h / 6) it is far below
-    # Strang's error (9.3e-9 against 8.3e-6 at the coarse step)
-    engine, values = coupled_engine
+    # fold; at equal FFT pairs (a Strang step of h / 6, on a Strang engine
+    # from the same start state) it is far below Strang's error (9.3e-9
+    # against 8.3e-6 at the coarse step)
+    engine, values = blanes_moan_engine
+    strang, start = coupled_engine
+    np.testing.assert_array_equal(start, values)
     potential = 30.0 * np.cos(engine.angles)
     duration = 0.01 * 2.0 * math.pi
     reference = engine.propagate(values, duration, duration / 4000,
-                                 potential, True, BLANES_MOAN)
+                                 potential)
 
-    def error(h, scheme=BLANES_MOAN):
-        stepped = engine.propagate(values, duration, h, potential, True,
-                                   scheme)
+    def error(h, stepper=engine):
+        stepped = stepper.propagate(values, duration, h, potential)
         return np.max(np.abs(stepped - reference))
 
     h = duration / 50
     assert 15.0 < error(h) / error(h / 2) < 17.0
-    assert 100 * error(h) < error(h / 6, STRANG)
+    assert 100 * error(h) < error(h / 6, strang)
 
 
-def test_an_interval_takes_no_step_longer_than_dt(coupled_engine):
+def test_an_interval_takes_no_step_longer_than_dt(blanes_moan_engine):
     # at dt the largest fused local substep advances 0.09 rad: an interval
     # of 1.4 dt takes two steps of 0.7 dt, where one step of 1.4 dt would
     # trip the guard
-    engine, values = coupled_engine
+    engine, values = blanes_moan_engine
     h = 6 * 2e-5 * 2.0 * math.pi
-    c = max(abs(a) for a in fused_local_coefficients(BLANES_MOAN))
+    local = BLANES_MOAN[0]
+    c = max(abs(a) for a in (local[-1] + local[0], *local[1:-1]))
     density = engine.mean_field.g * np.abs(values) ** 2
     potential = np.full(engine.grid_n, 0.09 / (c * h) - density.max())
     assert potential[0] > 0
-    engine.propagate(values, 1.4 * h, h, potential, True, BLANES_MOAN)
+    engine.propagate(values, 1.4 * h, h, potential)
     with pytest.raises(rs.StepSizeError):
-        engine.propagate(values, 1.4 * h, 1.4 * h, potential, True,
-                         BLANES_MOAN)
+        engine.propagate(values, 1.4 * h, 1.4 * h, potential)
     assert [step_count(d, 0.1) for d in (0.14, 0.3, 0.1)] == [2, 3, 1]
+
+
+# --------------------------------------------------------------------------
+# the coupled evolution against an integrator that shares no code with it
+
+def _reference_driver(trap, grid_n=512, **kw):
+    """The protocol driver of the reference scenario's packet (2e4 atoms
+    at 1 a0, relaxed on `grid_n` points), at its derived step."""
+    inter = rs.InteractionSpec(scattering_length=rs.BOHR_RADIUS,
+                               atom_number=2e4)
+    spec = rs.ProtocolSpec(trap=trap, interaction=inter, solver="splitstep",
+                           cutoff=grid_n // 2 - 1, grid_n=grid_n, **kw)
+    return _SplitStepDriver(spec, _prepare(spec)[1], spec.dispersion_model())
+
+
+def _relative_l2(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def test_blanes_moan_converges_to_an_independent_rk4ip_oracle(trap):
+    # over pi/8 (a sixteenth of an ideal period) of the reference packet,
+    # with E = ell^2 / 2 written out here.  The oracle's step halvings,
+    # 5.3e-6 then 3.4e-7 apart, show its fourth order, so its 4,000-step
+    # error is about 2.3e-8, and the extrapolation (16 o_4000 - o_2000) / 15
+    # is within 3.6e-10 of one at 8,000 and 16,000 steps.  Against it the
+    # engine reads 4.8e-6 at the derived step (item 16 of the roadmap:
+    # 4.8e-6 against DOP853), 1.08e-7 and 6.9e-9 at a half and a quarter
+    # of it: the derived step sits just above the fourth-order regime,
+    # which the last halving shows
+    driver = _reference_driver(trap)
+    engine, values = driver.engine, driver.values[0]
+    harmonics = np.fft.fftfreq(engine.grid_n, 1.0 / engine.grid_n)
+    duration = math.pi / 8
+    oracle = [oracles.rk4ip(values, 0.5 * harmonics ** 2,
+                            engine.mean_field.g, duration, steps)
+              for steps in (1000, 2000, 4000)]
+    gaps = [_relative_l2(a, b) for a, b in zip(oracle, oracle[1:])]
+    assert 14.0 < gaps[0] / gaps[1] < 18.0
+    assert gaps[1] / 15.0 < 3e-8
+    reference = (16.0 * oracle[2] - oracle[1]) / 15.0
+    errors = [_relative_l2(engine.propagate(values, duration,
+                                            driver.dt_int / k), reference)
+              for k in (1, 2, 4)]
+    assert errors[0] < 1e-5
+    assert errors[1] < errors[0] / 16.0
+    assert 13.0 < errors[1] / errors[2] < 19.0
+
+
+# the gap between the flux run and the rotated flux-free run, per
+# dispersion and grid: 7.2e-7, 2.8e-12, 1.6e-5 and 1.1e-9 over pi/8 (5.6e-6,
+# 1.7e-10, 6.1e-5 and 4.4e-8 over half a period).  It falls with the grid,
+# not the step: the cubic term's harmonics beyond the grid alias back, and
+# an alias rotates with its grid harmonic's phase, not its own
+@pytest.mark.parametrize("centrifugal, grid_n, bound", [
+    (False, 256, 2e-6), (False, 512, 1e-11),
+    (True, 256, 5e-5), (True, 512, 4e-9)],
+    ids=["ideal-256", "ideal-512", "centrifugal-256", "centrifugal-512"])
+def test_a_constant_flux_rotates_the_coupled_evolution(trap, centrifugal,
+                                                       grid_n, bound):
+    # with no potential and E a function of ell alone, a flux of 0.3 rad
+    # per ideal period (2 pi internal) turns the state rigidly, also under
+    # the mean field
+    kw = dict(include_centrifugal=centrifugal)
+    flux = _reference_driver(trap, grid_n, flux=rs.FluxSpec(0.3 * rs.HBAR),
+                             **kw)
+    free = _reference_driver(trap, grid_n, **kw)
+    assert flux.dt_int == free.dt_int
+    duration = math.pi / 8
+    turned = flux.engine.propagate(flux.values[0], duration, flux.dt_int)
+    still = free.engine.propagate(free.values[0], duration, free.dt_int)
+    angle = 0.3 * duration / (2.0 * math.pi)
+    rotated = np.fft.ifft(np.fft.fft(still) *
+                          np.exp(-1j * free.engine.harmonics * angle))
+    assert _relative_l2(turned, rotated) < bound
 
 
 def _imaginary_strang_step(engine, values, dtau, potential):

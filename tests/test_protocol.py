@@ -151,6 +151,17 @@ def test_default_packet_width_matches_transverse_ground_state(
     assert wide.effective_packet_width == 0.3
 
 
+def test_a_narrow_splitstep_packet_prepares_on_a_short_grid(trap):
+    # the relaxation's start guess, width / sqrt(2) = 0.0247, would need a
+    # ladder of 162 modes where 256 points hold 127; it is widened to
+    # 4 / 127, and the relaxed packet is still the requested Gaussian (to
+    # 1.4e-5, the relaxation's dtau error at this width)
+    spec = rs.ProtocolSpec(trap=trap, solver="splitstep", packet_width=0.035,
+                           cutoff=127, grid_n=256)
+    psi0, _ = rs.protocol._prepare(spec)
+    assert rs.fidelity(rs.gaussian_packet(0.0, 0.035, 127), psi0) > 1 - 3e-5
+
+
 def test_dispersion_model_reflects_toggles(trap):
     spec = _linear_spec(trap, include_centrifugal=True)
     model = spec.dispersion_model()
@@ -1088,6 +1099,26 @@ _GUARDS = {
     "revival-time-negative": ("revival_time_s must be positive",
                               lambda trap: rs.ProtocolSpec(
                                   trap=trap, revival_time_s=-1.0)),
+    "imprint-window-three-edges": ("window must be a pair of edges",
+                                   lambda trap: rs.ImprintSpec(
+                                       1.0, window=(0, 1, 2))),
+    "search-window-one-edge": ("search_window must be a pair of edges",
+                               lambda trap: rs.ProtocolSpec(
+                                   trap=trap, search_window=(0.98,))),
+    # center +- pi/2 rounds to center: both readout windows are empty
+    "packet-center-empty-readout": ("packet_center 1e+300 is too far",
+                                    lambda trap: rs.ProtocolSpec(
+                                        trap=trap, packet_center=1e300)),
+    # rounded to whole radians the two half rings overlap
+    "packet-center-overlapping-readout": ("packet_center 5e+15 is too far",
+                                          lambda trap: rs.ProtocolSpec(
+                                              trap=trap,
+                                              packet_center=5e15)),
+    # a split-step run projects its relaxed packet onto the ladder too
+    "splitstep-packet-beyond-the-ladder": (
+        "packet width 0.05 needs cutoff >= 80.0, got 64",
+        lambda trap: rs.ProtocolSpec(
+            trap=trap, solver="splitstep", packet_width=0.05, cutoff=64)),
 }
 
 

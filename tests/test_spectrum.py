@@ -77,7 +77,9 @@ def test_a_tilt_corrected_model_warns_where_its_formula_fails(trap, v0):
     with pytest.warns(rs.PerturbationValidityWarning) as caught:
         rs.DispersionModel(t2, 16, includes_tilt=True)
     assert [w.filename for w in caught] == [__file__]
-    spec = rs.ProtocolSpec(trap=t2, cutoff=16, grid_n=64, include_tilt=True)
+    # a packet the 16-mode ladder holds (cutoff >= 4 / width)
+    spec = rs.ProtocolSpec(trap=t2, cutoff=16, grid_n=64, include_tilt=True,
+                           packet_width=0.3)
     with pytest.warns(rs.PerturbationValidityWarning) as caught:
         spec.dispersion_model()
     assert [w.filename for w in caught] == [__file__]

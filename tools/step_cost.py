@@ -6,7 +6,7 @@ reference scenario.
 Builds the protocol driver of the built-in reference scenario (2e4 K-39
 atoms at 1 a0, `grid_n` 512, the derived step), then times
 `_SplitStepEngine.propagate` over `--steps` coupled steps of the driver's
-scheme for batches of 1, 7 and 13 rows (the shared prefix, the
+engine for batches of 1, 7 and 13 rows (the shared prefix, the
 `sweep_splitstep` batch and a 13-phase sweep).  Prints the best of
 `--repeats` timings per batch, in microseconds per FFT pair (one kinetic
 substep, the unit of cost) and per state-pair, and then four lines, each
@@ -68,13 +68,13 @@ def pair_costs(spec, steps: int, repeats: int) -> dict:
     """Best-of-`repeats` seconds per FFT pair of `propagate`, per batch."""
     driver = _SplitStepDriver(spec, _prepare(spec)[1],
                               spec.dispersion_model())
-    engine, dt, scheme = driver.engine, driver.dt_int, driver.scheme
-    pairs = steps * len(scheme[1])
+    engine, dt = driver.engine, driver.dt_int
+    pairs = steps * engine.pairs_per_step
     costs = {}
     for rows in ROWS:
         values = np.repeat(driver.values, rows, axis=0)
         costs[rows] = _best_of(repeats, lambda: engine.propagate(
-            values, steps * dt, dt, None, True, scheme)) / pairs
+            values, steps * dt, dt)) / pairs
     return costs
 
 

@@ -6,7 +6,7 @@ Runs `ringsim revival` on PATH, or on the built-in reference scenario
 without `--config`, writing its CSV into a temporary directory.  Every
 `_SplitStepEngine.propagate` and `_SplitStepEngine.relax` call is wrapped
 from outside the package and counted in FFT pairs, the unit of cost: rows
-times the scheme's kinetic substeps per step times the engine's
+times the engine's FFT pairs per step (`pairs_per_step`) times its
 `step_count(duration, dt)` for split steps, rows for one exact kinetic
 step, and rows times its step count for a relaxation.  Each call is
 charged to one phase:
@@ -78,14 +78,13 @@ class StepCounter:
             call = _arguments(original, args, kwargs)
             phase = self._phase(call["values"])
             out = original(*args, **kwargs)
-            duration, dt = call["duration"], call["dt"]
+            engine, duration, dt = call["self"], call["duration"], call["dt"]
             if duration <= 0:
                 pairs = 0
-            elif (not call["self"].mean_field.acts
-                  and call["potential"] is None):
+            elif not engine.mean_field.acts and call["potential"] is None:
                 pairs = 1
             else:
-                pairs = len(call["scheme"][1]) * step_count(duration, dt)
+                pairs = engine.pairs_per_step * step_count(duration, dt)
             self.pairs[phase] += _rows(call["values"]) * pairs
             self.calls[phase] += 1
             self._last = (out, phase)
