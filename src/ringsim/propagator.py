@@ -452,7 +452,11 @@ def ground_state_imaginary_time(trap: TrapSpec,
     pot = 0.5 * wf_int ** 2 * _wrapped_angle(engine.angles, well_center) ** 2
 
     # the start guess, widened where the grid's ladder is too short for it
-    # (4 / L passes the packet rule at every L = grid_n / 2 - 1)
+    # (4 / L passes the packet rule at every L = grid_n / 2 - 1, and is
+    # below 1 from L = 7 on)
+    if grid_n < 16:
+        raise InvalidParameterError(
+            "grid_n must be >= 16 to hold the relaxation's start packet")
     cutoff = grid_n // 2 - 1
     width = max(min(1.0 / np.sqrt(wf_int), 0.5), 4.0 / cutoff)
     values = to_grid(gaussian_packet(well_center, width, cutoff),

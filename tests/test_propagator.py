@@ -421,10 +421,10 @@ def test_blanes_moan_converges_to_an_independent_rk4ip_oracle(trap):
     # 5.3e-6 then 3.4e-7 apart, show its fourth order, so its 4,000-step
     # error is about 2.3e-8, and the extrapolation (16 o_4000 - o_2000) / 15
     # is within 3.6e-10 of one at 8,000 and 16,000 steps.  Against it the
-    # engine reads 4.8e-6 at the derived step (item 16 of the roadmap:
-    # 4.8e-6 against DOP853), 1.08e-7 and 6.9e-9 at a half and a quarter
-    # of it: the derived step sits just above the fourth-order regime,
-    # which the last halving shows
+    # engine reads 4.8e-6 at the derived step (as against scipy's DOP853
+    # at rtol 1e-13), 1.08e-7 and 6.9e-9 at a half and a quarter of it:
+    # the derived step sits just above the fourth-order regime, which the
+    # last halving shows
     driver = _reference_driver(trap)
     engine, values = driver.engine, driver.values[0]
     harmonics = np.fft.fftfreq(engine.grid_n, 1.0 / engine.grid_n)
@@ -664,6 +664,9 @@ _GUARDS = {
     "grid-not-power-of-two": ("grid_n must be a power of two >= 4",
                               lambda trap: rs.ground_state_imaginary_time(
                                   trap, grid_n=100)),
+    "grid-below-a-packet": ("grid_n must be >= 16",
+                            lambda trap: rs.ground_state_imaginary_time(
+                                trap, grid_n=8)),
     "grid-float": ("grid_n must be a power of two >= 4",
                    lambda trap: rs.ground_state_imaginary_time(
                        trap, grid_n=512.0)),
