@@ -159,11 +159,8 @@ def _cmd_sweep_phase(config: ScenarioConfig, args, out_dir: str) -> int:
 def _cmd_spectrum(config: ScenarioConfig, args, out_dir: str) -> int:
     trap = build_trap(config)
     cutoff = config.cutoff
-    try:
-        ideal_si = DispersionModel(trap, cutoff).energies_si
-        interaction = _interaction(config)
-    except InvalidParameterError as exc:
-        raise _keyed_error(exc, config) from exc
+    ideal_si = DispersionModel(trap, cutoff).energies_si
+    interaction = _interaction(config)
     ells = np.arange(-cutoff, cutoff + 1)
     tilt_si = tilt_shift(trap, ells)
     # report the mode-dependent part only: the transverse zero point is a
@@ -213,8 +210,6 @@ def _cmd_sense(config: ScenarioConfig, args, out_dir: str) -> int:
             config.sense_phase_resolution_rad, n_peak, trap)
     except NotApplicableError as exc:
         raise ConfigError("sense_charge_e = 0: %s" % exc) from None
-    except InvalidParameterError as exc:
-        raise _keyed_error(exc, config) from exc
 
     rows = []
     print("inputs: B = %g T, E0 = %g V/m, q = %g C, m0 = %g J/T, "
@@ -319,8 +314,12 @@ def main(argv=None) -> int:
         try:
             config = from_file(args.config) if args.config else from_defaults()
             os.makedirs(args.out, exist_ok=True)
-            return args.func(config, args, args.out)
-        except (ConfigError, InvalidParameterError) as exc:
+            try:
+                return args.func(config, args, args.out)
+            except InvalidParameterError as exc:
+                # a refusal of a value the config set names its keys
+                raise _keyed_error(exc, config) from exc
+        except ConfigError as exc:
             print("ringsim: config error: %s" % exc, file=sys.stderr)
             return 2
         except RingError as exc:

@@ -305,9 +305,10 @@ _KEYS = {
     "application_time": ("imprint_time_ms",),
     "duration": ("imprint_duration_ms",), "cutoff": ("cutoff",),
     "grid_n": ("grid_n",), "packet_width": ("packet_width",),
-    "packet": ("packet_width", "cutoff"),
+    "packet": ("packet_width", "cutoff"), "ladder": ("cutoff", "grid_n"),
     "packet_center": ("packet_center_rad",),
     "dt_factor": ("dt_rev_factor",), "revival_time_s": ("revival_time_ms",),
+    "timing_offset": ("timing_offsets_us",),
     "search_window": ("search_lo", "search_hi"),
     "search_resolution_factor": ("search_resolution_factor",),
     "resolution": ("sense_resolution_rad",), "density": ("atom_number",),

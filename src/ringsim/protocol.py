@@ -393,36 +393,34 @@ def _splitstep_objective(spec: ProtocolSpec, model: DispersionModel):
     default imprint time T*/2 of every T* in the window, is cut into
     SEARCH_CHECKPOINTS segments: of its n steps, segment k ends at step
     round(k n / SEARCH_CHECKPOINTS).  Returns (objective, (dt_factor,
-    times, states)), the checkpoints of a `RevivalSearch`.  Every queried
-    time then becomes a checkpoint too, so a golden-section search that
-    keeps narrowing its bracket only ever propagates the short gap from the
-    nearest earlier checkpoint instead of restarting from release.
+    times, states)), the checkpoints of a `RevivalSearch`.  One step makes
+    each segment end and queried time a read-only checkpoint, advanced from
+    the latest one at or before it, so a narrowing golden section only
+    propagates short gaps.  Segment ends that coincide (fewer steps than
+    segments) are stored once, and `RevivalSearch.before` reads them alike.
     """
     psi0_s, psi0_g = _prepare(spec)
     target = _revival_target(spec, psi0_s)
     driver = _SplitStepDriver(spec, psi0_g, model)
     t_pre = 0.5 * _search_times(spec)[0]
     n = step_count(t_pre / driver.time_unit, driver.dt_int)
+    driver.values.flags.writeable = False
     times, states = [0.0], [driver.values]
-    for k in range(1, SEARCH_CHECKPOINTS + 1):
-        t = t_pre * (round(k * n / SEARCH_CHECKPOINTS) / n)
-        driver.advance(times[-1], t)
-        times.append(t)
-        states.append(driver.values)
-    for values in states:
-        values.flags.writeable = False
-    checkpoints = (driver.dt_factor, tuple(times), tuple(states))
 
-    def objective(t: float) -> float:
+    def state_at(t: float) -> np.ndarray:
         i = bisect_right(times, t) - 1
         driver.values = states[i]
         if t > times[i]:
             driver.advance(times[i], t)
+            driver.values.flags.writeable = False
             times.insert(i + 1, t)
             states.insert(i + 1, driver.values)
-        return _grid_fidelity(target([t])[0], driver.values[0])
+        return driver.values
 
-    return objective, checkpoints
+    for k in range(1, SEARCH_CHECKPOINTS + 1):
+        state_at(t_pre * (round(k * n / SEARCH_CHECKPOINTS) / n))
+    objective = lambda t: _grid_fidelity(target([t])[0], state_at(t)[0])
+    return objective, (driver.dt_factor, tuple(times), tuple(states))
 
 
 # The linear search's coarse scan sums, and a walk measures, at most this
@@ -467,30 +465,34 @@ def _scan_estimates(psi0: SpectralState, target: SpectralState, times,
     return estimates, scale * delta * (2 + delta)
 
 
-def _linear_scan(psi0: SpectralState, target: SpectralState, times,
-                 model: DispersionModel, objective) -> tuple:
-    """(index, value) of the first maximum of `objective` over `times`.
+def _linear_search(spec: ProtocolSpec, model: DispersionModel, times):
+    """(coarse, objective) of the linear revival search over `times`.
 
-    `objective` is fidelity(target, evolve_linear(psi0, t, model)).  Every
-    time whose estimate (`_scan_estimates`) lies within twice the bound of
-    the best estimate is evaluated through `objective`; the bound holds for
-    every estimate, so the maximum is among them.  The result is bitwise the
-    argmax and max of `objective` at every time, ties to the first.
+    `objective` is fidelity(half-turn image, evolve_linear(packet, t,
+    model)).  `coarse` holds the estimates (`_scan_estimates`), with the
+    exact objective written at every time whose estimate lies within twice
+    the bound of the best estimate; every estimate left lies below those,
+    so the argmax of `coarse` and its value are bitwise those of
+    `objective` over `times`, ties to the first.
     """
-    estimates, margin = _scan_estimates(psi0, target, times, model)
-    near = np.flatnonzero(estimates >= estimates.max() - 2 * margin)
-    exact = [objective(times[i]) for i in near]
-    best = int(np.argmax(exact))
-    return int(near[best]), exact[best]
+    # the target corotates with the flux, so a constant flux cancels
+    # exactly: evolve without it against the plain half-turn image
+    psi0, _ = _prepare(spec)
+    target = rotate(psi0, np.pi)
+    objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
+    coarse, margin = _scan_estimates(psi0, target, times, model)
+    for i in np.flatnonzero(coarse >= coarse.max() - 2 * margin):
+        coarse[i] = objective(times[i])
+    return coarse, objective
 
 
-def _search_times(spec: ProtocolSpec) -> tuple:
-    """(lo s, hi s, count) of the revival search's coarse scan: its window
-    at a pitch of a quarter of 1 / omega_perp, and at least 8 points."""
+def _search_times(spec: ProtocolSpec) -> np.ndarray:
+    """The revival search's coarse scan times (s): its window, both ends
+    exact, at a pitch of a quarter of 1 / omega_perp, and >= 8 points."""
     ideal = revival_time(spec.trap)
     lo, hi = (edge * ideal for edge in spec.search_window)
     pitch = 0.25 / spec.trap.omega_perp
-    return lo, hi, max(8, int(math.ceil((hi - lo) / pitch)) + 1)
+    return np.linspace(lo, hi, max(8, int(math.ceil((hi - lo) / pitch)) + 1))
 
 
 def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
@@ -500,41 +502,33 @@ def find_revival_time(spec: ProtocolSpec) -> RevivalSearch:
     half-turn (plus flux corotation) image of the initial packet.  The
     search covers `spec.search_window` times the ideal period, which must
     bracket a revival: a coarse scan at a quarter of the dephasing time
-    1 / omega_perp brackets the highest sampled peak, then golden-section
-    refines it to `spec.search_resolution_factor` times the ideal period.
-    If the best coarse fidelity does not exceed SEARCH_FIDELITY_FLOOR a
-    RevivalNotFoundError is raised rather than refining noise.  Returns the
-    time (s) with a split-step search's checkpoints and the search's
-    dispersion, as a `RevivalSearch`; a linear search evolves the packet
-    spectrally, scans with estimates and re-checks its best coarse points
-    through the exact objective (`_linear_scan`), and keeps no checkpoints.
+    1 / omega_perp, one array from either solver, brackets its highest
+    peak, then golden-section refines it to `spec.search_resolution_factor`
+    times the ideal period.  If the best coarse fidelity does not exceed
+    SEARCH_FIDELITY_FLOOR a RevivalNotFoundError is raised rather than
+    refining noise.  Returns the time (s) with a split-step search's
+    checkpoints and the search's dispersion, as a `RevivalSearch`; a linear
+    search scans with estimates and re-checks its best coarse points
+    exactly (`_linear_search`), and keeps no checkpoints.
     """
-    lo, hi, count = _search_times(spec)
+    times = _search_times(spec)
     resolution = spec.search_resolution_factor * revival_time(spec.trap)
-    times = np.linspace(lo, hi, count)
     model = spec.dispersion_model()
+    checkpoints = ()
     if spec.solver == "splitstep":
         objective, checkpoints = _splitstep_objective(spec, model)
         coarse = [objective(t) for t in times]
-        best = int(np.argmax(coarse))
-        peak = coarse[best]
     else:
-        # the target corotates with the flux, so a constant flux cancels
-        # exactly: evolve without it against the plain half-turn image
-        psi0, _ = _prepare(spec)
-        target = rotate(psi0, np.pi)
-        objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
-        best, peak = _linear_scan(psi0, target, times, model, objective)
-        checkpoints = ()
-    if peak <= SEARCH_FIDELITY_FLOOR:
+        coarse, objective = _linear_search(spec, model, times)
+    best = int(np.argmax(coarse))
+    if coarse[best] <= SEARCH_FIDELITY_FLOOR:
         raise RevivalNotFoundError(
             "no revival above fidelity %.2f inside [%.6g, %.6g] s "
             "(best %.3g); widen the search window"
-            % (SEARCH_FIDELITY_FLOOR, lo, hi, peak))
-    bracket_lo = times[max(best - 1, 0)]
-    bracket_hi = times[min(best + 1, count - 1)]
-    return RevivalSearch(_golden_max(objective, bracket_lo, bracket_hi,
-                                     resolution), *checkpoints, model=model)
+            % (SEARCH_FIDELITY_FLOOR, times[0], times[-1], coarse[best]))
+    bracket = times[max(best - 1, 0)], times[min(best + 1, len(times) - 1)]
+    return RevivalSearch(_golden_max(objective, *bracket, resolution),
+                         *checkpoints, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +624,12 @@ def _schedule(spec: ProtocolSpec, t_star: float, offset: float):
     total = t_star + offset + imp.duration
     if t_imp < 0:
         raise InvalidParameterError(
-            "imprint pulse would start %.3g s before release; raise the "
-            "timing offset" % t_imp)
+            "timing_offset %.3g s starts the imprint pulse %.3g s before "
+            "release" % (offset, -t_imp))
     if t_imp + imp.duration > total:
         raise InvalidParameterError(
-            "imprint pulse ends %.3g s after the readout time"
-            % (t_imp + imp.duration - total))
+            "application_time %.3g s ends the imprint pulse %.3g s after the "
+            "readout time" % (start, t_imp + imp.duration - total))
     return t_imp, total
 
 

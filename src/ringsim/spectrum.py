@@ -48,7 +48,9 @@ class TrapSpec:
     radius : ring radius R (m)
     omega_perp : transverse (radial and vertical) trap frequency (rad/s)
     tilt_amplitude : amplitude V0 of the once-around cosine potential (J)
-    tilt_phase : angular position of the potential minimum offset (rad)
+    tilt_phase : angular position of the potential minimum offset (rad);
+        it moves no computed number, since the second-order tilt shift is
+        a doublet mean, which does not depend on it
     eccentricity : ellipse eccentricity, 0 <= eps <= 0.5
     """
 

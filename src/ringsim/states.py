@@ -74,7 +74,8 @@ def _check_grid_size(n, name: str = "grid size", cutoff=None) -> None:
         raise InvalidParameterError(f"{name} must be a power of two >= 4")
     if cutoff is not None and n < 2 * cutoff + 2:
         raise InvalidParameterError(
-            f"cutoff {cutoff} requires {name} >= {2 * cutoff + 2}, got {n}")
+            f"ladder of cutoff {cutoff} requires {name} >= {2 * cutoff + 2}, "
+            f"got {n}")
 
 
 def _angles(n: int) -> np.ndarray:

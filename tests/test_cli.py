@@ -417,8 +417,12 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
      "config error: sense_charge_e = 0: "),
     ("revival", ("", "packet_width = 0.02"), "config error:"),
     ("timing", ("timing_offsets_us = 0,50,150", "timing_offsets_us = -90000"),
-     "config error:"),
-    ("revival", ("", "imprint_time_ms = 500"), "config error:"),
+     "config error: key timing_offsets_us: "),
+    ("revival", ("", "imprint_time_ms = 500"),
+     "config error: key imprint_time_ms: "),
+    # the ladder rule names both of its keys
+    ("revival", ("cutoff = 64", "cutoff = 128"),
+     "config error: key cutoff and grid_n: "),
     # the packet rule names both keys, or the cutoff alone when the width
     # is derived; a split-step run is refused before it relaxes
     ("revival", ("solver = linear", "solver = splitstep\npacket_width = 0.05"),
@@ -429,7 +433,8 @@ def test_unwritable_output_directory_exits_1(quick_cfg, tmp_path, capsys):
 ], ids=["negative-atom-number", "negative-atom-number-spectrum",
         "zero-cutoff-spectrum", "zero-phase-resolution", "neutral-charge",
         "cutoff-too-small-for-the-packet", "pulse-before-release",
-        "pulse-after-readout", "splitstep-packet-beyond-the-ladder",
+        "pulse-after-readout", "grid-below-the-ladder",
+        "splitstep-packet-beyond-the-ladder",
         "cutoff-below-the-derived-packet", "packet-center-beyond-the-readout"])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command,
                                             change, error):

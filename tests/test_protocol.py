@@ -9,7 +9,7 @@ import pytest
 import ringsim as rs
 from ringsim.propagator import (BLANES_MOAN, STRANG, _SplitStepEngine,
                                 step_count)
-from ringsim.protocol import (SCAN_BLOCK, _golden_max, _linear_scan,
+from ringsim.protocol import (SCAN_BLOCK, _golden_max, _linear_search,
                               _measure, _revival_target, _scan_estimates,
                               _search_times)
 
@@ -188,9 +188,20 @@ def test_no_checkpoint_answers_a_time_before_release(search):
 
 
 def test_search_reports_a_dead_window(trap):
-    spec = _linear_spec(trap, search_window=(0.0015, 0.015))
-    with pytest.raises(rs.RevivalNotFoundError):
-        rs.find_revival_time(spec)
+    # both solvers' scans meet one floor check, which names the scan's
+    # first and last times
+    window = (0.0015, 0.015)
+    splitstep = rs.ProtocolSpec(
+        trap=trap, solver="splitstep", cutoff=64, grid_n=256,
+        interaction=rs.InteractionSpec(rs.BOHR_RADIUS, 5e3),
+        search_window=window)
+    for spec in (_linear_spec(trap, search_window=window), splitstep):
+        times = _search_times(spec)
+        edges = "[%.6g, %.6g] s" % (times[0], times[-1])
+        assert edges == "[0.000201284, 0.00201284] s"
+        with pytest.raises(rs.RevivalNotFoundError, match=re.escape(
+                "no revival above fidelity 0.10 inside %s (best " % edges)):
+            rs.find_revival_time(spec)
 
 
 def test_centrifugal_correction_retimes_the_revival(trap, revival_s):
@@ -516,11 +527,13 @@ def test_the_blocked_linear_scan_is_bitwise_the_per_point_objective(
     assert len(odd) % SCAN_BLOCK != 0
     middle = [ideal(t) for t in even[SCAN_BLOCK:SCAN_BLOCK + 2]]
     assert abs(middle[0] - middle[1]) < 1e-12
-    for objective, (psi0, target, model), times in cases:
+    for spec, (objective, (_, _, model), times) in zip(
+            (_scan_spec(trap), _linear_spec(trap)), cases):
         values = [objective(t) for t in times]
         best = int(np.argmax(values))
-        assert _linear_scan(psi0, target, times, model, objective) == (
-            best, values[best])
+        coarse, _ = _linear_search(spec, model, times)
+        found = int(np.argmax(coarse))
+        assert (found, coarse[found]) == (best, values[best])
 
 
 def test_the_scan_estimates_lie_well_inside_their_bound(trap, revival_s):
@@ -551,17 +564,18 @@ def test_the_linear_search_finds_the_time_of_a_per_point_scan(trap):
 def test_a_narrow_search_window_still_scans_eight_points(trap, monkeypatch):
     # a window of 3.4 pitches would give 5 points at the pitch alone
     spec = _linear_spec(trap, search_window=(0.9995, 1.0005))
-    lo, hi, count = _search_times(spec)
-    assert math.ceil((hi - lo) / (0.25 / trap.omega_perp)) + 1 == 5
+    times = _search_times(spec)
+    span = times[-1] - times[0]
+    assert math.ceil(span / (0.25 / trap.omega_perp)) + 1 == 5
     scanned = []
 
-    def scan(psi0, target, times, *rest):
+    def search(spec, model, times):
         scanned.append(len(times))
-        return _linear_scan(psi0, target, times, *rest)
+        return _linear_search(spec, model, times)
 
-    monkeypatch.setattr(rs.protocol, "_linear_scan", scan)
+    monkeypatch.setattr(rs.protocol, "_linear_search", search)
     rs.find_revival_time(spec)
-    assert scanned == [count] == [8]
+    assert scanned == [len(times)] == [8]
 
 
 # --------------------------------------------------------------------------
@@ -1084,7 +1098,8 @@ _GUARDS = {
                          trap=trap, cutoff=100.5, solver="linear")),
     "grid-float": ("grid_n must be a power of two >= 4",
                    lambda trap: rs.ProtocolSpec(trap=trap, grid_n=512.0)),
-    "grid-below-ladder": ("cutoff 128 requires grid_n >= 258, got 256",
+    "grid-below-ladder": ("ladder of cutoff 128 requires grid_n >= 258, "
+                          "got 256",
                           lambda trap: rs.ProtocolSpec(trap=trap,
                                                        grid_n=256)),
     "records-float": ("n_records and n_snapshots must be integers >= 0",

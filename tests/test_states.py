@@ -151,7 +151,8 @@ _GUARDS = {
     "projection-cutoff-float": ("cutoff must be a positive integer",
                                 lambda: rs.to_spectral(
                                     rs.GridState(np.ones(256)), 64.0)),
-    "projection-too-fine": ("cutoff 4 requires grid size >= 10, got 8",
+    "projection-too-fine": ("ladder of cutoff 4 requires grid size >= 10, "
+                            "got 8",
                             lambda: rs.to_spectral(rs.GridState(np.ones(8)),
                                                    4)),
 }

@@ -29,7 +29,6 @@ the best of `--repeats`:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -42,13 +41,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from ringsim.config import build_protocol, from_defaults  # noqa: E402
 from ringsim.constants import HBAR  # noqa: E402
-from ringsim.observables import fidelity  # noqa: E402
-from ringsim.propagator import FluxSpec, evolve_linear  # noqa: E402
-from ringsim.protocol import (SCAN_BLOCK, _linear_scan,  # noqa: E402
+from ringsim.propagator import FluxSpec  # noqa: E402
+from ringsim.protocol import (SCAN_BLOCK, _linear_search,  # noqa: E402
                               _measure, _prepare, _prepared_packet,
                               _revival_target, _search_times,
                               _SplitStepDriver)
-from ringsim.states import rotate  # noqa: E402
 
 ROWS = (1, 7, 13)
 BLOCKS = 12
@@ -91,13 +88,9 @@ def search_point_cost(spec, repeats: int) -> float:
     own grid of a linear copy of `spec`."""
     spec = replace(spec, solver="linear", interaction=None)
     model = spec.dispersion_model()
-    psi0, _ = _prepare(spec)
-    target = rotate(psi0, math.pi)
-    lo, hi, count = _search_times(spec)
-    times = np.linspace(lo, hi, count)
-    objective = lambda t: fidelity(target, evolve_linear(psi0, t, model))
-    return _best_of(repeats, lambda: _linear_scan(
-        psi0, target, times, model, objective)) / count
+    times = _search_times(spec)
+    return _best_of(repeats, lambda: _linear_search(
+        spec, model, times)) / len(times)
 
 
 def readout_cost(spec, repeats: int) -> float:
